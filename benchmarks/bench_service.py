@@ -55,6 +55,18 @@ def _micro_grid() -> list[PlanRequest]:
     ]
 
 
+def _service_shape() -> list[dict]:
+    """The structural counts of each row, derived from the grid constants."""
+    return [
+        {
+            "case": "service-micro",
+            "tenants": TENANTS,
+            "requests": TENANTS * REQUESTS_PER_TENANT,
+            "distinct_cells": len(_micro_grid()),
+        }
+    ]
+
+
 def _tenant_mix(cells: list[PlanRequest], tenant: str, rng: random.Random):
     """A seeded per-tenant replay: REQUESTS_PER_TENANT draws over the grid."""
     draws = [rng.randrange(len(cells)) for _ in range(REQUESTS_PER_TENANT)]
@@ -117,15 +129,13 @@ def _run_service_micro() -> list[dict]:
             admin.shutdown()
         server.join(timeout=10.0)
 
-    n_requests = TENANTS * REQUESTS_PER_TENANT
+    (shape,) = _service_shape()
+    n_requests = shape["requests"]
     assert len(latencies) == n_requests
     ordered = sorted(latencies)
     return [
         {
-            "case": "service-micro",
-            "tenants": TENANTS,
-            "requests": n_requests,
-            "distinct_cells": len(cells),
+            **shape,
             "rps": n_requests / wall,
             "p50_ms": statistics.median(ordered) * 1e3,
             "p99_ms": ordered[int(0.99 * (len(ordered) - 1))] * 1e3,

@@ -21,7 +21,8 @@ numbers against the committed baselines via :mod:`repro.obs.benchgate`:
 - **Planning-service throughput** (``BENCH_service.json``): the
   multi-tenant micro-grid replay through a live daemon. Request/tenant/
   cell counts are gated exactly; req/s is gated against the perf floor
-  *and* an absolute >=500 req/s floor.
+  *and* an absolute >=500 req/s floor. The counts are derived from the
+  bench grid and gated even under ``--skip-perf``.
 - **Collectives bake-off** (``BENCH_collectives.json``): the rival
   algorithm lineup (Ring/BT/RD/Swing/SCRing/WRHT) over the completion
   -time curve grid and the canonical fault scenarios. All deterministic:
@@ -37,7 +38,8 @@ numbers against the committed baselines via :mod:`repro.obs.benchgate`:
 Exit status: 0 when every comparison passes, 1 on any regression, 2 when
 a baseline file is missing or unreadable. ``--json`` writes the full diff
 record (uploaded as a CI artifact on failure); ``--skip-perf`` drops the
-wall-clock RWA/repair measurements for a fast deterministic-only run.
+wall-clock RWA/repair/service measurements for a fast deterministic-only
+run (the service grid's structural counts are still gated).
 ``--update-baseline`` rewrites the measured cells back into the pinned
 baseline JSONs (leaving unmeasured cells untouched) instead of gating —
 for intentional perf/behavior changes; review the resulting diff.
@@ -72,6 +74,7 @@ from repro.obs.benchgate import (  # noqa: E402
     compare_repair,
     compare_rwa,
     compare_service,
+    compare_service_shape,
 )
 
 #: Pinned RWA micro cells: (case label, N, dense representative count or
@@ -136,6 +139,13 @@ def measure_service() -> list[dict]:
     from benchmarks.bench_service import _run_service_micro
 
     return _run_service_micro()
+
+
+def service_shape() -> list[dict]:
+    """The service rows' structural counts, without launching the daemon."""
+    from benchmarks.bench_service import _service_shape
+
+    return _service_shape()
 
 
 def measure_reconfig() -> list[dict]:
@@ -247,8 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--skip-perf", action="store_true",
-        help="skip the wall-clock RWA/repair measurements "
-        "(deterministic-only)",
+        help="skip the wall-clock RWA/repair/service measurements "
+        "(deterministic-only; service counts are still gated)",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
@@ -292,15 +302,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     perf_baselines = (
-        []
-        if args.skip_perf
-        else [args.baseline_rwa, args.baseline_repair, args.baseline_service]
+        [] if args.skip_perf else [args.baseline_rwa, args.baseline_repair]
     )
     missing = [
         path
         for path in perf_baselines
-        + [args.baseline_faults, args.baseline_collectives,
-           args.baseline_reconfig]
+        + [args.baseline_service, args.baseline_faults,
+           args.baseline_collectives, args.baseline_reconfig]
         if load_baseline(path) is None
     ]
     if missing and not args.update_baseline:
@@ -359,6 +367,12 @@ def main(argv: list[str] | None = None) -> int:
                     perf_floor=args.perf_floor,
                 )
             )
+    elif not args.update_baseline:
+        report.merge(
+            compare_service_shape(
+                service_shape(), load_baseline(args.baseline_service)
+            )
+        )
     print("measuring fault-sweep scenarios ...")
     fault_rows = measure_faults()
     print("measuring collectives bake-off grids ...")

@@ -238,6 +238,36 @@ def compare_repair(
     return report
 
 
+SERVICE_SHAPE_FIELDS = ("tenants", "requests", "distinct_cells")
+
+
+def _service_rows(baseline: dict | None) -> dict[str, dict]:
+    return {row["case"]: row for row in (baseline or {}).get("service", [])}
+
+
+def compare_service_shape(
+    current_rows: list[dict], baseline: dict | None
+) -> GateReport:
+    """Gate the structural counts of service rows, exactly.
+
+    ``current_rows`` need only carry ``case`` plus
+    :data:`SERVICE_SHAPE_FIELDS`, so the shape can be derived from the
+    bench grid without launching the daemon; a changed grid silently
+    re-scopes the pinned throughput, so it must be re-pinned on purpose.
+    """
+    report = GateReport()
+    base_rows = _service_rows(baseline)
+    for row in current_rows:
+        label = f"service.{row['case']}"
+        base = base_rows.get(row["case"])
+        for field_name in SERVICE_SHAPE_FIELDS:
+            _check_exact(
+                report, f"{label}.{field_name}", row[field_name],
+                None if base is None else base.get(field_name),
+            )
+    return report
+
+
 def compare_service(
     current_rows: list[dict],
     baseline: dict | None,
@@ -253,18 +283,11 @@ def compare_service(
     against the absolute ``min_rps`` floor the service is specified to
     sustain on the micro grid regardless of what the baseline drifted to.
     """
-    report = GateReport()
-    if baseline is None:
-        baseline = {}
-    base_rows = {row["case"]: row for row in baseline.get("service", [])}
+    report = compare_service_shape(current_rows, baseline)
+    base_rows = _service_rows(baseline)
     for row in current_rows:
         label = f"service.{row['case']}"
         base = base_rows.get(row["case"])
-        for field_name in ("tenants", "requests", "distinct_cells"):
-            _check_exact(
-                report, f"{label}.{field_name}", row[field_name],
-                None if base is None else base.get(field_name),
-            )
         _check_floor(
             report, f"{label}.rps", row["rps"],
             None if base is None else base.get("rps"), perf_floor,

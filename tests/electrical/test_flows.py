@@ -20,11 +20,9 @@ class TestMaxMinRates:
         assert np.allclose(rates, 2.0)
 
     def test_classic_three_flow_example(self):
-        # Links A (cap 10) and B (cap 10). Flow 1 on A, flow 2 on B,
-        # flow 3 on both. Max-min: flow 3 gets 5, flows 1,2 get 5... then
-        # residuals let flows 1,2 take the rest: 5 each -> all 5? No:
-        # bottleneck share on both links is 10/2 = 5; flows 1 and 2 then
-        # take the remaining 5 each.
+        # Links A and B (cap 10 each). Flow 0 crosses A, flow 1 crosses B,
+        # flow 2 crosses both. Each link carries two flows, so both tie at
+        # a share of 10 / 2 = 5 and every flow gets 5.
         flows = [Flow(0, (0,), 1.0), Flow(1, (1,), 1.0), Flow(2, (0, 1), 1.0)]
         rates = max_min_rates(flows, [10.0, 10.0])
         assert rates[2] == pytest.approx(5.0)
@@ -99,6 +97,27 @@ class TestFluidSimulation:
             Flow(0, (), 1.0)
         with pytest.raises(ValueError):
             Flow(0, (0,), -1.0)
+
+    @pytest.mark.parametrize("links", [(-1,), (0, -2)])
+    def test_negative_link_id_rejected(self, links):
+        # A negative id used to index the capacity table from the end.
+        with pytest.raises(ValueError, match=">= 0"):
+            Flow(7, links, 1.0)
+
+    @pytest.mark.parametrize("links", [(0.0,), ("1",), (True,), (None,)])
+    def test_non_integer_link_id_rejected(self, links):
+        with pytest.raises(ValueError, match="integers"):
+            Flow(7, links, 1.0)
+
+    def test_numpy_integer_link_id_accepted(self):
+        assert Flow(0, (np.int64(3),), 1.0).links == (3,)
+
+    def test_link_beyond_capacity_table_rejected(self):
+        sim = FluidSimulation([10.0, 10.0])
+        flows = [Flow(0, (0,), 1.0), Flow(42, (1, 2), 1.0)]
+        with pytest.raises(ValueError, match="flow 42 crosses link 2"):
+            sim.run(flows)
+        assert all(f.finish_time is None for f in flows)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(1.0, 1e6), min_size=1, max_size=10))

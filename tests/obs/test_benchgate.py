@@ -14,6 +14,7 @@ from repro.obs.benchgate import (
     compare_repair,
     compare_rwa,
     compare_service,
+    compare_service_shape,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -372,6 +373,21 @@ class TestCompareService:
         assert len(report.violations) == 4
         assert {v.kind for v in report.violations} == {"missing-baseline"}
 
+    def test_shape_alone_needs_no_throughput(self):
+        shape = {"case": "service-micro", "tenants": 4, "requests": 400,
+                 "distinct_cells": 10}
+        report = compare_service_shape([shape], _SERVICE_BASELINE)
+        assert report.ok
+        assert len(report.checked) == 3
+
+    def test_shape_drift_is_exact(self):
+        shape = {"case": "service-micro", "tenants": 4, "requests": 400,
+                 "distinct_cells": 14}
+        report = compare_service_shape([shape], _SERVICE_BASELINE)
+        assert [(v.metric, v.kind) for v in report.violations] == [
+            ("service.service-micro.distinct_cells", "exact")
+        ]
+
 
 class TestGateReport:
     def test_merge_accumulates(self):
@@ -409,7 +425,22 @@ class TestBenchGateScript:
         out = tmp_path / "diff.json"
         proc = _run_gate("--json", str(out))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert json.loads(out.read_text())["ok"] is True
+        diff = json.loads(out.read_text())
+        assert diff["ok"] is True
+        # --skip-perf skips the daemon but not the service grid's shape.
+        assert "service.service-micro.distinct_cells" in diff["checked"]
+
+    def test_service_grid_drift_fails_without_perf(self, tmp_path):
+        baseline = json.loads((REPO_ROOT / "BENCH_service.json").read_text())
+        baseline["service"][0]["distinct_cells"] -= 4
+        path = tmp_path / "stale-service.json"
+        path.write_text(json.dumps(baseline))
+        out = tmp_path / "diff.json"
+        proc = _run_gate("--baseline-service", str(path), "--json", str(out))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert [v["metric"] for v in json.loads(out.read_text())["violations"]] == [
+            "service.service-micro.distinct_cells"
+        ]
 
     def test_perturbed_baseline_fails(self, tmp_path):
         baseline = json.loads((REPO_ROOT / "BENCH_faults.json").read_text())
