@@ -18,11 +18,6 @@ numbers against the committed baselines via :mod:`repro.obs.benchgate`:
   repair vs full recolor at N in {64, 256, 1024}. Transfer and fallback
   counts are gated exactly (fallbacks must be 0); the repair speedup is
   best-of-N wall clock, gated against the same perf floor.
-- **Planning-service throughput** (``BENCH_service.json``): the
-  multi-tenant micro-grid replay through a live daemon. Request/tenant/
-  cell counts are gated exactly; req/s is gated against the perf floor
-  *and* an absolute >=500 req/s floor. The counts are derived from the
-  bench grid and gated even under ``--skip-perf``.
 - **Collectives bake-off** (``BENCH_collectives.json``): the rival
   algorithm lineup (Ring/BT/RD/Swing/SCRing/WRHT) over the completion
   -time curve grid and the canonical fault scenarios. All deterministic:
@@ -38,8 +33,7 @@ numbers against the committed baselines via :mod:`repro.obs.benchgate`:
 Exit status: 0 when every comparison passes, 1 on any regression, 2 when
 a baseline file is missing or unreadable. ``--json`` writes the full diff
 record (uploaded as a CI artifact on failure); ``--skip-perf`` drops the
-wall-clock RWA/repair/service measurements for a fast deterministic-only
-run (the service grid's structural counts are still gated).
+wall-clock RWA/repair measurements for a fast deterministic-only run.
 ``--update-baseline`` rewrites the measured cells back into the pinned
 baseline JSONs (leaving unmeasured cells untouched) instead of gating —
 for intentional perf/behavior changes; review the resulting diff.
@@ -73,8 +67,6 @@ from repro.obs.benchgate import (  # noqa: E402
     compare_reconfig,
     compare_repair,
     compare_rwa,
-    compare_service,
-    compare_service_shape,
 )
 
 #: Pinned RWA micro cells: (case label, N, dense representative count or
@@ -132,20 +124,6 @@ def measure_repair() -> list[dict]:
     from benchmarks.bench_repair import _run_repair_micro
 
     return _run_repair_micro()
-
-
-def measure_service() -> list[dict]:
-    """Fresh service-throughput rows, same shape as ``BENCH_service.json``."""
-    from benchmarks.bench_service import _run_service_micro
-
-    return _run_service_micro()
-
-
-def service_shape() -> list[dict]:
-    """The service rows' structural counts, without launching the daemon."""
-    from benchmarks.bench_service import _service_shape
-
-    return _service_shape()
 
 
 def measure_reconfig() -> list[dict]:
@@ -257,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--skip-perf", action="store_true",
-        help="skip the wall-clock RWA/repair/service measurements "
-        "(deterministic-only; service counts are still gated)",
+        help="skip the wall-clock RWA/repair measurements "
+        "(deterministic-only)",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
@@ -278,11 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         "--baseline-repair", type=Path,
         default=REPO_ROOT / "BENCH_repair.json",
         help="override the repair baseline path (tests)",
-    )
-    parser.add_argument(
-        "--baseline-service", type=Path,
-        default=REPO_ROOT / "BENCH_service.json",
-        help="override the service baseline path (tests)",
     )
     parser.add_argument(
         "--baseline-collectives", type=Path,
@@ -307,8 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     missing = [
         path
         for path in perf_baselines
-        + [args.baseline_service, args.baseline_faults,
-           args.baseline_collectives, args.baseline_reconfig]
+        + [args.baseline_faults, args.baseline_collectives,
+           args.baseline_reconfig]
         if load_baseline(path) is None
     ]
     if missing and not args.update_baseline:
@@ -333,20 +306,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"  repair.{row['case']}.n{row['n']}: "
                 f"transfers={row['transfers']} speedup={row['speedup']:.1f}x"
             )
-        print("measuring planning-service throughput ...")
-        service_rows = measure_service()
-        for row in service_rows:
-            print(
-                f"  service.{row['case']}: rps={row['rps']:.0f} "
-                f"p50={row['p50_ms']:.3f}ms p99={row['p99_ms']:.3f}ms"
-            )
         if args.update_baseline:
             update_baseline(args.baseline_rwa, "micro", rwa_rows, ("case", "n"))
             update_baseline(
                 args.baseline_repair, "repair", repair_rows, ("case", "n")
-            )
-            update_baseline(
-                args.baseline_service, "service", service_rows, ("case",)
             )
         else:
             report.merge(
@@ -361,18 +324,6 @@ def main(argv: list[str] | None = None) -> int:
                     perf_floor=args.perf_floor,
                 )
             )
-            report.merge(
-                compare_service(
-                    service_rows, load_baseline(args.baseline_service),
-                    perf_floor=args.perf_floor,
-                )
-            )
-    elif not args.update_baseline:
-        report.merge(
-            compare_service_shape(
-                service_shape(), load_baseline(args.baseline_service)
-            )
-        )
     print("measuring fault-sweep scenarios ...")
     fault_rows = measure_faults()
     print("measuring collectives bake-off grids ...")

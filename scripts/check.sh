@@ -6,7 +6,7 @@
 # Stages:
 #   1. ruff (when available — CI images that lack it skip with a notice)
 #   2. repro.check lint  (REP001-REP008 AST pass over src; REP004 retired)
-#   3. repro.check flow  (CONC/DET call-graph rules over src; pure AST,
+#   3. repro.check flow  (DET call-graph rules over src; pure AST,
 #      so it stays in the --fast loop; writes flow.sarif.json for CI)
 #   4. repro.check plan verifier over the figure golden plans
 #   --fast stops here (lint + flow + verifier only — the seconds-scale
@@ -19,10 +19,7 @@
 #      verified by repro.check; live fault runs checked for determinism;
 #      incremental repair cross-checked against from-scratch recoloring
 #      via --paranoid-repair)
-#   7. planning-service smoke (daemon on a temp socket; every backend's
-#      served answer asserted bit-identical to the in-process path, plus
-#      a faulted request through the repair seam)
-#   8. tier-1 tests (which also auto-verify every lowered plan via the
+#   7. tier-1 tests (which also auto-verify every lowered plan via the
 #      repro.check pytest plugin)
 set -euo pipefail
 
@@ -48,7 +45,7 @@ fi
 echo "== repro.check lint =="
 python -m repro.check.lint src
 
-echo "== repro.check flow (CONC/DET call-graph rules) =="
+echo "== repro.check flow (DET call-graph rules) =="
 python -m repro.check flow src --sarif flow.sarif.json
 
 echo "== repro.check golden plans (optical) =="
@@ -143,9 +140,6 @@ PY
 
 echo "== fault-injection smoke =="
 python -m repro.faults --paranoid-repair
-
-echo "== planning-service smoke =="
-python -m repro.service smoke
 
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"

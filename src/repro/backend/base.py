@@ -26,7 +26,7 @@ can be executed many times, serialized for inspection, or fed to analyses
 plans the timing came from, so the two can never disagree).
 
 :class:`ExecutionResult` and its :class:`StepRecord` timeline are plain
-serializable data (``to_dict``/``from_dict`` round-trip through JSON), so
+serializable data (``to_dict`` survives a JSON round trip unchanged), so
 results can cross process boundaries in sweeps and be archived next to
 the figures they produced.
 """
@@ -133,11 +133,6 @@ class StepRecord:
             "max_link_share": self.max_link_share,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepRecord":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 StepTimeline = tuple[StepRecord, ...]
 """The per-step timeline of an execution: one record per profile entry."""
@@ -192,7 +187,7 @@ class ExecutionResult:
         return max((r.max_link_share for r in self.timeline), default=0)
 
     def to_dict(self) -> dict:
-        """JSON-ready dict (inverse of :meth:`from_dict`)."""
+        """JSON-ready dict (float-exact through ``json.dumps``/``loads``)."""
         return {
             "backend": self.backend,
             "algorithm": self.algorithm,
@@ -205,28 +200,6 @@ class ExecutionResult:
             "meta": dict(self.meta),
             "metrics": None if self.metrics is None else self.metrics.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecutionResult":
-        """Rebuild from :meth:`to_dict` output (JSON round-trip safe)."""
-        return cls(
-            backend=data["backend"],
-            algorithm=data["algorithm"],
-            n_steps=data["n_steps"],
-            total_time=data["total_time"],
-            total_bytes=data["total_bytes"],
-            timeline=tuple(StepRecord.from_dict(r) for r in data["timeline"]),
-            events=tuple(
-                (e[0], e[1], dict(e[2])) for e in data.get("events", ())
-            ),
-            cache=PlanCacheCounters(**data.get("cache", {})),
-            meta=dict(data.get("meta", {})),
-            metrics=(
-                MetricsSnapshot.from_dict(data["metrics"])
-                if data.get("metrics") is not None
-                else None
-            ),
-        )
 
 
 class Backend(abc.ABC):

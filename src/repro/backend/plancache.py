@@ -30,10 +30,7 @@ Correctness guards:
 
 The cache itself is per-process state. Parallel sweep workers each warm
 their own copy (fork inherits the parent's warmed cache for free on
-Linux); :mod:`repro.service.store` layers a sharded, versioned on-disk
-store underneath (:class:`~repro.service.store.PersistentPlanCache`) when
-warm plans should survive the process and be shared across workers —
-:func:`set_default_plan_cache` swaps it in process-wide.
+Linux); nothing persists past the process.
 
 This module started life as ``repro.optical.plancache`` (PR 1); it moved
 here when the cache went behind the unified ``lower()`` seam so that every
@@ -194,18 +191,3 @@ _DEFAULT_CACHE = PlanCache()
 def default_plan_cache() -> PlanCache:
     """The process-wide cache backends share unless given their own."""
     return _DEFAULT_CACHE
-
-
-def set_default_plan_cache(cache: PlanCache) -> PlanCache:
-    """Replace the process-wide default cache; returns the previous one.
-
-    Backends capture the default at construction time, so install a
-    replacement (e.g. a :class:`~repro.service.store.PersistentPlanCache`)
-    *before* building the backends that should lower through it.
-    """
-    global _DEFAULT_CACHE
-    if not isinstance(cache, PlanCache):
-        raise TypeError(f"expected a PlanCache, got {type(cache).__name__}")
-    previous = _DEFAULT_CACHE
-    _DEFAULT_CACHE = cache
-    return previous

@@ -10,9 +10,9 @@ Three subsystems share this package:
   with :mod:`ast` for reproduction-specific hazards (REP001–REP008);
 - the **flow pass** (:mod:`repro.check.flow`, on the call graph of
   :mod:`repro.check.callgraph` and the effect lattices of
-  :mod:`repro.check.effects`) checks interprocedural async-safety and
-  determinism contracts (CONC001–CONC005, DET001–DET004), with SARIF
-  output via :mod:`repro.check.sarif`.
+  :mod:`repro.check.effects`) checks interprocedural determinism
+  contracts (DET001–DET004), with SARIF output via
+  :mod:`repro.check.sarif`.
 
 Entry points::
 

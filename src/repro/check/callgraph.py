@@ -1,9 +1,9 @@
 """Module-level call graph over stdlib ``ast`` — the flow rules' substrate.
 
 The REP lint rules are lexical: they judge one call site in isolation.
-The CONC/DET flow rules (:mod:`repro.check.flow`) are *interprocedural*:
-"a blocking call reachable from an ``async def``" or "wall-clock reaching
-a cache key" are properties of paths through the program, not of single
+The DET flow rules (:mod:`repro.check.flow`) are *interprocedural*:
+"an unseeded RNG reachable from ``lower``" or "wall-clock reaching a
+cache key" are properties of paths through the program, not of single
 lines. This module builds the graph those rules walk:
 
 - every function/method definition across the analyzed files, keyed by a
@@ -18,10 +18,9 @@ actually uses:
 - bare names: enclosing nested-function scopes, then module-level
   functions and classes, then import aliases (``from x import y as z``);
 - ``self.m()`` / ``cls.m()``: the enclosing class, walking analyzed base
-  classes (``PersistentPlanCache.get`` resolves ``super()``-style calls
-  into ``PlanCache``);
-- typed receivers: parameter annotations (``store: PlanStore``),
-  ``__init__`` attribute inference (``self.store = PlanStore(...)`` or
+  classes (an inherited method resolves into the base that defines it);
+- typed receivers: parameter annotations (``cache: PlanCache``),
+  ``__init__`` attribute inference (``self.cache = PlanCache(...)`` or
   via a typed local), and dataclass-style class-level annotations — so
   ``self.engine.flush()`` resolves through ``self.engine = engine`` when
   ``engine``'s type is known;
@@ -48,7 +47,7 @@ from repro.check.lint import syntax_finding
 def module_name(path: str) -> str:
     """Dotted module name for a source path.
 
-    ``src/repro/service/daemon.py`` → ``repro.service.daemon``; paths
+    ``src/repro/check/flow.py`` → ``repro.check.flow``; paths
     outside a ``src``/package layout fall back to the file stem (fixture
     files in temp dirs still get a usable, unique-enough name).
     """
@@ -75,7 +74,6 @@ class FunctionInfo:
     module: str
     name: str
     class_key: str | None
-    is_async: bool
     node: ast.FunctionDef | ast.AsyncFunctionDef
     path: str
     lineno: int
@@ -221,17 +219,6 @@ class CallGraph:
             stack.extend(info.base_keys)
         return None
 
-    def class_methods(self, class_key: str) -> list[FunctionInfo]:
-        """Every analyzed method defined directly on ``class_key``."""
-        info = self.classes.get(class_key)
-        if info is None:
-            return []
-        return [self.functions[q] for q in info.methods.values()]
-
-    def async_functions(self) -> list[FunctionInfo]:
-        """Every ``async def`` in the analyzed set."""
-        return [f for f in self.functions.values() if f.is_async]
-
     # -- construction ---------------------------------------------------
     def _dotted_of(self, node: ast.expr, index: _ModuleIndex) -> str | None:
         """Normalized dotted name of a Name/Attribute chain, or ``None``."""
@@ -298,7 +285,6 @@ class CallGraph:
                         module=mod,
                         name=child.name,
                         class_key=class_key,
-                        is_async=isinstance(child, ast.AsyncFunctionDef),
                         node=child,
                         path=index.path,
                         lineno=child.lineno,

@@ -14,8 +14,8 @@ Two subcommands:
     The REP001–REP008 AST pass (same as ``python -m repro.check.lint``).
 
 ``flow``
-    The call-graph-aware concurrency/determinism pass
-    (CONC001–CONC005, DET001–DET004; see :mod:`repro.check.flow`).
+    The call-graph-aware determinism pass (DET001–DET004; see
+    :mod:`repro.check.flow`).
     ``--sarif out.json`` additionally writes a SARIF 2.1.0 report for CI
     annotation. Exit status 1 on any ERROR finding.
 
@@ -152,7 +152,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    """Run the call-graph flow rules (CONC/DET families)."""
+    """Run the call-graph flow rules (DET family)."""
     from repro.check.flow import FLOW_RULES, analyze_paths
     from repro.check.sarif import write_sarif
 
@@ -215,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser(
-        "flow", help="run the CONC/DET call-graph flow rules"
+        "flow", help="run the DET call-graph flow rules"
     )
     p.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to analyze (default: src)",
     )
-    p.add_argument("--select", help="comma-separated CONC/DET rule ids")
+    p.add_argument("--select", help="comma-separated DET rule ids")
     p.add_argument(
         "--sarif", metavar="PATH",
         help="also write a SARIF 2.1.0 report to PATH",

@@ -3,13 +3,12 @@
 Three analyses, all fixpoints over :class:`~repro.check.callgraph.CallGraph`:
 
 **Effect propagation** (:func:`propagate_effects`). A function's *base*
-effects are the hazards it performs directly — :data:`BLOCKING` (sync
-sleep/subprocess/socket/disk I/O), :data:`WALLCLOCK` (host-clock reads),
-:data:`RNG` (unseeded RNG use). Its *reaching* effects are the union of
-its base effects and every internal callee's reaching effects. Witness
-edges are kept so a finding can print the actual call chain
-(``close -> flush -> _flush_locked -> write_bytes``) instead of a bare
-verdict.
+effects are the hazards it performs directly — :data:`WALLCLOCK`
+(host-clock reads) and :data:`RNG` (unseeded RNG use). Its *reaching*
+effects are the union of its base effects and every internal callee's
+reaching effects. Witness edges are kept so a finding can print the
+actual call chain (``lower -> place -> jitter -> random.Random``) instead
+of a bare verdict.
 
 **Taint returns** (:func:`tainted_returners`). A function *returns* a
 tainted value when any of its ``return`` expressions contains a call to a
@@ -38,47 +37,8 @@ from dataclasses import dataclass
 from repro.check.callgraph import CallGraph, CallSite
 
 #: Effect tags.
-BLOCKING = "blocking"
 WALLCLOCK = "wallclock"
 RNG = "rng"
-
-#: Dotted external calls that block the calling thread. Cheap metadata
-#: syscalls (``mkdir``, ``unlink``, ``exists``) are deliberately absent:
-#: flagging them in ``async def`` bodies would bury the real hazards.
-BLOCKING_EXTERNALS = frozenset(
-    {
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-        "socket.socket",
-        "socket.create_connection",
-        "os.replace",
-        "open",
-        "input",
-        "urllib.request.urlopen",
-        "requests.get",
-        "requests.post",
-    }
-)
-
-#: Method names that denote blocking I/O whatever the receiver type
-#: (``Path.read_bytes`` etc. are unambiguous; generic names like
-#: ``read``/``write`` are excluded — asyncio streams use them).
-BLOCKING_METHOD_NAMES = frozenset(
-    {
-        "read_bytes",
-        "write_bytes",
-        "read_text",
-        "write_text",
-        "recv",
-        "recvfrom",
-        "sendall",
-        "accept",
-    }
-)
 
 #: Dotted external calls that read the host clock (taint sources for
 #: DET001 and base WALLCLOCK effect).
@@ -130,12 +90,6 @@ def site_base_effects(site: CallSite) -> set[str]:
     effects: set[str] = set()
     dotted = site.external
     terminal = site.terminal
-    if dotted in BLOCKING_EXTERNALS or (
-        dotted is None and terminal in ("open", "input")
-    ):
-        effects.add(BLOCKING)
-    if terminal in BLOCKING_METHOD_NAMES:
-        effects.add(BLOCKING)
     if dotted in WALLCLOCK_EXTERNALS or terminal in WALLCLOCK_TERMINALS:
         effects.add(WALLCLOCK)
     if dotted in RNG_EXTERNALS:

@@ -1,38 +1,16 @@
-"""Call-graph-aware concurrency & determinism rules (CONC001–DET004).
+"""Call-graph-aware determinism rules (DET001–DET004).
 
-PR 7 split planning into an asyncio daemon, a forked on-disk store and
-multiprocess sweep workers. The hazards that surface breeds — blocking
-calls in coroutines, shared-state races around ``await``, hidden
-nondeterminism leaking into plan identities — are *path* properties: a
-``time.sleep`` three calls below an ``async def`` is just as blocking as
-one written inline, and a wall-clock read is harmless until some chain of
-returns lands it in a cache key. The REP lint cannot see either; these
-rules walk the :mod:`repro.check.callgraph` graph and the
-:mod:`repro.check.effects` lattices instead.
+Plans are cached, shared across sweep workers and replayed, so a plan's
+identity and structure must be pure functions of the simulated
+configuration. The hazards that break that — a wall-clock read or a
+process-local ``id``/``hash`` landing in a cache key, set order or an
+unseeded RNG steering the lowering — are *path* properties: a
+``time.perf_counter`` read is harmless until some chain of returns lands
+it in a cache key. The REP lint cannot see that; these rules walk the
+:mod:`repro.check.callgraph` graph and the :mod:`repro.check.effects`
+lattices instead.
 
 ========  =============================================================
-CONC001   Blocking call (sync sleep/subprocess/socket/disk I/O, or a
-          sync callee that transitively performs one) inside an
-          ``async def`` body. Blocks the event loop: the daemon stops
-          accepting, coalescing and answering while it runs.
-CONC002   Shared-state hazard: (a) an instance attribute read into a
-          local before an ``await`` and written back from that stale
-          local after it (lost update across the yield point); (b) a
-          function dispatched to an executor thread (``run_in_executor``
-          / ``submit`` / ``to_thread``) mutating instance state that the
-          class's ``async`` methods also touch — mutation off the
-          single-worker eval lane.
-CONC003   Coroutine called as a bare statement: the coroutine object is
-          created and dropped, the body never runs (or runs "sometime",
-          unsupervised). Await it or hand it to ``create_task``.
-CONC004   A class caches ``os.getpid()`` at construction and exposes a
-          re-check method (the fork re-keying protocol of
-          ``repro.service.store``), but a public method uses the cached
-          identity without calling the re-check — a forked child would
-          silently act under its parent's identity.
-CONC005   A write to a store shard path without ``os.replace`` in the
-          same function: readers can observe the partial file. Shard
-          persistence must be write-to-temp + atomic rename.
 DET001    A wall-clock value (``time.time``/``perf_counter``/
           ``datetime.now`` — possibly returned through any chain of
           helpers) flows into a plan/cache identity: a ``LoweredPlan``
@@ -70,9 +48,7 @@ from repro.check.callgraph import (
     load_files,
 )
 from repro.check.effects import (
-    BLOCKING,
     RNG,
-    WALLCLOCK,
     WALLCLOCK_EXTERNALS,
     WALLCLOCK_TERMINALS,
     EffectReport,
@@ -82,7 +58,6 @@ from repro.check.effects import (
     _site_map,
     key_sink_params,
     propagate_effects,
-    site_base_effects,
     tainted_locals_of,
     tainted_returners,
 )
@@ -90,11 +65,6 @@ from repro.check.findings import Finding, Severity
 from repro.check.lint import pragma_suppresses
 
 FLOW_RULES: dict[str, str] = {
-    "CONC001": "blocking call reachable from an async def",
-    "CONC002": "shared-state mutation off the eval lane or across an await",
-    "CONC003": "coroutine called but never awaited",
-    "CONC004": "cached process identity used without a fork re-check",
-    "CONC005": "non-atomic write to a store shard path",
     "DET001": "wall-clock value flows into a plan/cache identity",
     "DET002": "set iteration on a lowering path",
     "DET003": "unseeded RNG reachable from a lowering entry point",
@@ -104,9 +74,6 @@ FLOW_RULES: dict[str, str] = {
 
 #: Entry points whose down-closure is "the lowering path" (DET002/DET003).
 LOWERING_ENTRY_NAMES = frozenset({"lower", "plan_step_rounds"})
-
-#: Call terminals that dispatch a function reference onto a worker thread.
-_EXECUTOR_TERMINALS = frozenset({"run_in_executor", "submit", "to_thread"})
 
 #: Sources for the DET004 taint (bare-name builtins only).
 _IDENTITY_SOURCES = frozenset({"id", "hash"})
@@ -124,327 +91,6 @@ def _finding(rule_id: str, message: str, path: str, lineno: int, **details) -> F
 
 def _fmt_chain(chain: list[str]) -> str:
     return " -> ".join(part.split(":", 1)[-1] for part in chain)
-
-
-# -- CONC001 ------------------------------------------------------------
-
-
-def _check_conc001(graph: CallGraph, report: EffectReport) -> Iterator[Finding]:
-    for fn in graph.async_functions():
-        for site in graph.sites(fn.qualname):
-            base = site_base_effects(site)
-            if BLOCKING in base:
-                what = site.external or site.terminal
-                yield _finding(
-                    "CONC001",
-                    f"blocking call {what}() inside async def {fn.name}; "
-                    "the event loop stalls for its full duration — move it "
-                    "behind run_in_executor (the daemon's eval lane)",
-                    site.path, site.lineno,
-                    function=fn.qualname,
-                )
-            elif (
-                site.callee is not None
-                and not graph.functions[site.callee].is_async
-                and report.has(site.callee, BLOCKING)
-            ):
-                chain = [fn.qualname, *report.chain(site.callee, BLOCKING)]
-                yield _finding(
-                    "CONC001",
-                    f"call to {graph.functions[site.callee].name}() inside "
-                    f"async def {fn.name} transitively blocks "
-                    f"({_fmt_chain(chain)}); move the chain behind "
-                    "run_in_executor",
-                    site.path, site.lineno,
-                    function=fn.qualname, chain=_fmt_chain(chain),
-                )
-
-
-# -- CONC002 ------------------------------------------------------------
-
-
-def _self_attr(node: ast.expr) -> str | None:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _check_conc002_await_window(fn: FunctionInfo) -> Iterator[Finding]:
-    """(a) stale read-modify-write windows crossing an ``await``."""
-    await_lines = sorted(
-        n.lineno for n in ast.walk(fn.node) if isinstance(n, ast.Await)
-    )
-    if not await_lines:
-        return
-    carriers: dict[str, tuple[str, int]] = {}  # local -> (attr, read line)
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if isinstance(target, ast.Name):
-            for sub in ast.walk(node.value):
-                attr = _self_attr(sub)
-                if attr is not None:
-                    carriers[target.id] = (attr, node.lineno)
-                    break
-    if not carriers:
-        return
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        attr = _self_attr(target)
-        if attr is None:
-            continue
-        for name in {
-            n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)
-        }:
-            carried = carriers.get(name)
-            if carried is None or carried[0] != attr:
-                continue
-            read_line = carried[1]
-            if any(read_line < aw < node.lineno for aw in await_lines):
-                yield _finding(
-                    "CONC002",
-                    f"self.{attr} read into {name!r} at line {read_line}, "
-                    f"awaited, then written back from the stale local at "
-                    f"line {node.lineno}: concurrent handlers interleave at "
-                    "the await and this write loses their updates; "
-                    "re-read after the await or restructure to += on the "
-                    "loop",
-                    fn.path, node.lineno,
-                    function=fn.qualname, attr=attr,
-                )
-
-
-def _same_class_closure(
-    graph: CallGraph, class_key: str, roots: set[str]
-) -> set[str]:
-    method_quals = {f.qualname for f in graph.class_methods(class_key)}
-    closure = set()
-    stack = [q for q in roots if q in method_quals]
-    while stack:
-        current = stack.pop()
-        if current in closure:
-            continue
-        closure.add(current)
-        stack.extend(q for q in graph.callees(current) if q in method_quals)
-    return closure
-
-
-def _check_conc002_off_loop(graph: CallGraph) -> Iterator[Finding]:
-    """(b) executor-dispatched functions mutating loop-shared state."""
-    for class_key in graph.classes:
-        methods = graph.class_methods(class_key)
-        async_methods = [m for m in methods if m.is_async]
-        if not async_methods:
-            continue
-        shared: set[str] = set()
-        for method in async_methods:
-            for node in ast.walk(method.node):
-                attr = _self_attr(node)
-                if attr is not None:
-                    shared.add(attr)
-        if not shared:
-            continue
-        dispatched: set[str] = set()
-        for method in methods:
-            for site in graph.sites(method.qualname):
-                if site.terminal not in _EXECUTOR_TERMINALS:
-                    continue
-                for arg in site.node.args:
-                    attr = _self_attr(arg)
-                    if attr is not None:
-                        target = graph.method_of(class_key, attr)
-                        if target is not None:
-                            dispatched.add(target)
-        for qual in sorted(_same_class_closure(graph, class_key, dispatched)):
-            fn = graph.functions[qual]
-            for node in ast.walk(fn.node):
-                targets: list[ast.expr] = []
-                if isinstance(node, ast.Assign):
-                    targets = node.targets
-                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [node.target]
-                for target in targets:
-                    attr = _self_attr(target)
-                    if attr is not None and attr in shared:
-                        yield _finding(
-                            "CONC002",
-                            f"{fn.name}() runs on the executor thread (it is "
-                            "dispatched via run_in_executor/submit) but "
-                            f"mutates self.{attr}, which the class's async "
-                            "methods also touch on the event loop — "
-                            "shared state must only change on the "
-                            "single-worker eval lane's loop side",
-                            fn.path, node.lineno,
-                            function=fn.qualname, attr=attr,
-                        )
-
-
-# -- CONC003 ------------------------------------------------------------
-
-
-def _check_conc003(graph: CallGraph) -> Iterator[Finding]:
-    for fn in graph.functions.values():
-        site_map = _site_map(graph, fn.qualname)
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Expr) or not isinstance(
-                node.value, ast.Call
-            ):
-                continue
-            site = site_map.get(id(node.value))
-            if site is None or site.callee is None:
-                continue
-            callee = graph.functions.get(site.callee)
-            if callee is None or not callee.is_async:
-                continue
-            yield _finding(
-                "CONC003",
-                f"{callee.name}() is a coroutine but the call is a bare "
-                "statement: the coroutine object is created and dropped "
-                "without ever running — await it or wrap it in "
-                "asyncio.create_task",
-                site.path, site.lineno,
-                function=fn.qualname, coroutine=site.callee,
-            )
-
-
-# -- CONC004 ------------------------------------------------------------
-
-
-def _reads_attr(node: ast.AST, attrs: set[str]) -> bool:
-    for sub in ast.walk(node):
-        attr = _self_attr(sub)
-        if attr in attrs and isinstance(sub.ctx, ast.Load):
-            return True
-    return False
-
-
-def _check_conc004(graph: CallGraph) -> Iterator[Finding]:
-    for class_key, info in graph.classes.items():
-        init = info.methods.get("__init__")
-        if init is None:
-            continue
-        pid_attrs: set[str] = set()
-        for node in ast.walk(graph.functions[init].node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                attr = _self_attr(node.targets[0])
-                if attr is None:
-                    continue
-                for sub in ast.walk(node.value):
-                    if isinstance(sub, ast.Call) and ast.unparse(
-                        sub.func
-                    ).endswith("getpid"):
-                        pid_attrs.add(attr)
-        if not pid_attrs:
-            continue
-        rechecks: set[str] = set()
-        for method in graph.class_methods(class_key):
-            if method.qualname == init:
-                continue
-            stores_pid = any(
-                _self_attr(t) in pid_attrs
-                for n in ast.walk(method.node)
-                if isinstance(n, ast.Assign)
-                for t in n.targets
-            )
-            calls_getpid = any(
-                site.external == "os.getpid" or site.terminal == "getpid"
-                for site in graph.sites(method.qualname)
-            )
-            if stores_pid and calls_getpid:
-                rechecks.add(method.qualname)
-        if not rechecks:
-            continue
-        for method in graph.class_methods(class_key):
-            if method.qualname == init or method.qualname in rechecks:
-                continue
-            if method.name.startswith("_") and not method.name.startswith("__"):
-                continue  # private helpers: callers own the re-check
-            closure = _same_class_closure(graph, class_key, {method.qualname})
-            uses_pid = any(
-                _reads_attr(graph.functions[q].node, pid_attrs) for q in closure
-            )
-            if not uses_pid:
-                continue
-            if closure & rechecks or any(
-                graph.callees(q) & rechecks for q in closure
-            ):
-                continue
-            yield _finding(
-                "CONC004",
-                f"{method.name}() uses the cached process identity "
-                f"({', '.join(f'self.{a}' for a in sorted(pid_attrs))}) "
-                "without calling the fork re-check "
-                f"({', '.join(sorted(r.split(':')[-1] for r in rechecks))}); "
-                "a forked child would silently write under its parent's "
-                "identity",
-                method.path, method.lineno,
-                function=method.qualname,
-            )
-
-
-# -- CONC005 ------------------------------------------------------------
-
-
-def _shardish(expr: ast.expr, caller_node: ast.AST | None) -> bool:
-    """Whether ``expr`` denotes a shard path, seeing through one local."""
-    if "shard" in ast.unparse(expr).lower():
-        return True
-    if isinstance(expr, ast.Name) and caller_node is not None:
-        for node in _own_nodes(caller_node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == expr.id
-                    and "shard" in ast.unparse(node.value).lower()
-                ):
-                    return True
-    return False
-
-
-def _check_conc005(graph: CallGraph) -> Iterator[Finding]:
-    for caller, sites in graph.calls.items():
-        caller_fn = graph.functions.get(caller)
-        caller_node = caller_fn.node if caller_fn is not None else None
-        has_replace = any(s.external == "os.replace" for s in sites)
-        for site in sites:
-            target: ast.expr | None = None
-            if site.terminal in ("write_bytes", "write_text") and isinstance(
-                site.node.func, ast.Attribute
-            ):
-                target = site.node.func.value
-            elif site.terminal == "open" and site.node.args:
-                mode = ""
-                if len(site.node.args) > 1 and isinstance(
-                    site.node.args[1], ast.Constant
-                ):
-                    mode = str(site.node.args[1].value)
-                for kw in site.node.keywords:
-                    if kw.arg == "mode" and isinstance(kw.value, ast.Constant):
-                        mode = str(kw.value.value)
-                if not any(c in mode for c in "wax"):
-                    continue
-                target = site.node.args[0]
-            if target is None or not _shardish(target, caller_node):
-                continue
-            if has_replace:
-                continue
-            yield _finding(
-                "CONC005",
-                f"direct write to shard path {ast.unparse(target)!r} with no "
-                "os.replace in the same function: a concurrent reader can "
-                "observe the partial file — write to a temp name and "
-                "os.replace() it into place",
-                site.path, site.lineno,
-                function=caller,
-            )
 
 
 # -- DET001 / DET004 ----------------------------------------------------
@@ -625,20 +271,6 @@ def analyze_files(
     graph, findings = build_callgraph(files)
     report = propagate_effects(graph)
     checks: dict[str, Iterator[Finding]] = {
-        "CONC001": _check_conc001(graph, report),
-        "CONC002": iter(
-            [
-                *(
-                    f
-                    for fn in graph.async_functions()
-                    for f in _check_conc002_await_window(fn)
-                ),
-                *_check_conc002_off_loop(graph),
-            ]
-        ),
-        "CONC003": _check_conc003(graph),
-        "CONC004": _check_conc004(graph),
-        "CONC005": _check_conc005(graph),
         "DET001": _check_taint_to_keys(
             graph, "DET001", WALLCLOCK_EXTERNALS, WALLCLOCK_TERMINALS,
             "a wall-clock value",

@@ -27,10 +27,11 @@ REP006   Statement-level ``for`` loop over ``step.transfers`` in an
          with a ``# REP006: <reason>`` pragma on the loop line or the
          comment block directly above it.
 REP007   Direct plan-cache mutation (``.put``/``.clear``/``.resize`` on
-         a plan-cache object) outside the cache layers themselves and
-         the lowering seams. All persistence-visible writes must flow
-         through the ``plan_cache`` seam so the service's sharded store
-         observes them; escape hatch: ``# REP007: <reason>`` pragma.
+         a plan-cache object) outside the cache layer itself and the
+         lowering seams. Only the seams compose full keys (config
+         fingerprint, payload width, delta salt), which is what makes
+         replay bit-identical; escape hatch: ``# REP007: <reason>``
+         pragma.
 REP008   Suppression pragma without a reason (``# REP006`` bare, or
          ``# REP006:`` with nothing after the colon). A pragma is an
          audit record; a bare one suppresses nothing and is flagged.
@@ -39,7 +40,7 @@ REP008   Suppression pragma without a reason (``# REP006`` bare, or
 REP004 (import of the late ``repro.optical.plancache`` alias) is retired:
 the alias was removed in PR 7 and the id is never reused.
 
-**Pragmas.** Every rule in this file — and every ``CONC``/``DET`` rule of
+**Pragmas.** Every rule in this file — and every ``DET`` rule of
 the flow analyzer (:mod:`repro.check.flow`) — honours one uniform escape
 hatch: a ``# <RULEID>: <reason>`` comment on the offending line or in the
 comment block directly above it suppresses that rule's finding there. The
@@ -106,7 +107,7 @@ SYNTAX_RULE = "SYNTAX"
 #: One suppression pragma: ``# <RULEID>: <reason>`` at the end of a line.
 #: The id must be the whole comment tail (prose like "# REP006 is retired"
 #: does not match) and the reason group is ``None`` for bare pragmas.
-_PRAGMA = re.compile(r"#\s*((?:REP|CONC|DET)\d{3})\s*(?::\s*(\S.*?))?\s*$")
+_PRAGMA = re.compile(r"#\s*((?:REP|DET)\d{3})\s*(?::\s*(\S.*?))?\s*$")
 
 
 def pragma_at(line: str) -> tuple[str, str | None] | None:
@@ -125,7 +126,7 @@ def pragma_suppresses(rule_id: str, lines: list[str], lineno: int) -> bool:
     """Whether a reasoned ``# <rule_id>: <reason>`` pragma covers ``lineno``.
 
     The single escape-hatch implementation shared by every REP lint rule
-    and every CONC/DET flow rule: the pragma may sit on the offending line
+    and every DET flow rule: the pragma may sit on the offending line
     itself or anywhere in the comment block directly above it, and must
     carry a non-empty reason (bare pragmas are rejected — see REP008).
     """
@@ -347,11 +348,10 @@ def _check_rep006(tree: ast.AST, path: str, lines: list[str]) -> Iterator[Findin
 _PLAN_CACHE_NAME = re.compile(r"(^|_)plan_?cache$", re.IGNORECASE)
 
 #: The only modules allowed to mutate a plan cache directly (REP007):
-#: the cache layers themselves plus the backend lowering seams that
-#: populate them. Matched as path suffixes, like :data:`_HOT_PATH_SUFFIXES`.
+#: the cache layer itself plus the backend lowering seams that populate
+#: it. Matched as path suffixes, like :data:`_HOT_PATH_SUFFIXES`.
 _PLAN_CACHE_SEAM_SUFFIXES = (
     "repro/backend/plancache.py",
-    "repro/service/store.py",
     "repro/optical/network.py",
     "repro/optical/torus.py",
     "repro/electrical/network.py",
@@ -378,10 +378,10 @@ def _is_plan_cache_receiver(node: ast.expr) -> bool:
 def _check_rep007(tree: ast.AST, path: str, lines: list[str]) -> Iterator[Finding]:
     """REP007 — direct plan-cache mutation outside the sanctioned seams.
 
-    The persistent plan store only observes writes that flow through the
-    ``plan_cache`` seam (:class:`~repro.service.store.PersistentPlanCache`
-    overrides ``put``); ad-hoc mutation elsewhere silently diverges the
-    in-memory and on-disk views. Reads (``get``) are unrestricted.
+    Only the lowering seams build complete keys (config fingerprint,
+    payload width, delta salt); an ad-hoc ``put`` elsewhere can alias two
+    configurations and replay the wrong plan, and an ad-hoc ``clear``
+    silently skews the hit/miss tallies. Reads (``get``) are unrestricted.
     """
     norm = str(path).replace("\\", "/")
     if norm.endswith(_PLAN_CACHE_SEAM_SUFFIXES):
@@ -398,8 +398,8 @@ def _check_rep007(tree: ast.AST, path: str, lines: list[str]) -> Iterator[Findin
         yield _finding(
             "REP007",
             f"direct plan-cache .{node.func.attr}() outside "
-            "repro.backend.plancache / repro.service.store / the lowering "
-            "seams; route writes through the plan_cache seam (or allowlist "
+            "repro.backend.plancache / the lowering seams; route writes "
+            "through the plan_cache seam (or allowlist "
             "with a '# REP007: <reason>' pragma)",
             path, node,
         )
@@ -442,7 +442,7 @@ def apply_pragmas(findings: list[Finding], lines: list[str]) -> list[Finding]:
     """Drop findings covered by a reasoned pragma (shared escape hatch).
 
     Used by both this lint pass and the flow analyzer
-    (:mod:`repro.check.flow`) so every REP/CONC/DET rule honours the same
+    (:mod:`repro.check.flow`) so every REP/DET rule honours the same
     ``# <RULEID>: <reason>`` convention. REP008 findings are exempt: a
     pragma cannot excuse its own missing reason.
     """

@@ -17,7 +17,7 @@ lower deliberately partial synthetic ones. The full catalog runs in the
 dedicated ``tests/check`` suite and the ``wrht-repro check`` CLI.
 
 Opt out for a run with ``pytest --no-plan-verify``. Opt *in* to the
-call-graph flow rules (CONC/DET, see :mod:`repro.check.flow`) with
+call-graph flow rules (DET, see :mod:`repro.check.flow`) with
 ``pytest --flow-check``: the whole ``src`` tree is analyzed once at
 session start and any finding fails the session before tests run (the
 same gate ``scripts/check.sh`` applies; the option exists so a plain
@@ -69,7 +69,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--flow-check",
         action="store_true",
         default=False,
-        help="run the CONC/DET flow rules over src before the session",
+        help="run the DET flow rules over src before the session",
     )
 
 

@@ -15,13 +15,11 @@ Two comparison regimes, matched to what each number *is*:
   with a tight relative tolerance (:data:`DEFAULT_SIM_REL_TOL`); any drift
   means the model's behavior changed.
 - **Wall-clock performance floors** (RWA kernel and incremental-repair
-  speedups, ``BENCH_repair.json``; planning-service throughput,
-  ``BENCH_service.json``) are host-noisy,
+  speedups, ``BENCH_repair.json``) are host-noisy,
   so the gate only enforces a floor: the measured speedup must stay above
   ``baseline_speedup × perf_floor`` (:data:`DEFAULT_PERF_FLOOR`, i.e. a
   4× perf regression fails with the default 0.25). Measurements should be
-  best-of-N to tame scheduler noise (the script does best-of-3). The
-  service row additionally carries an absolute req/s floor.
+  best-of-N to tame scheduler noise (the script does best-of-3).
 
 A metric present in the current measurement but missing from the baseline
 is itself a violation (``missing-baseline``): silently ungated metrics are
@@ -235,64 +233,6 @@ def compare_repair(
             report, f"{label}.speedup", row["speedup"],
             None if base is None else base.get("speedup"), perf_floor,
         )
-    return report
-
-
-SERVICE_SHAPE_FIELDS = ("tenants", "requests", "distinct_cells")
-
-
-def _service_rows(baseline: dict | None) -> dict[str, dict]:
-    return {row["case"]: row for row in (baseline or {}).get("service", [])}
-
-
-def compare_service_shape(
-    current_rows: list[dict], baseline: dict | None
-) -> GateReport:
-    """Gate the structural counts of service rows, exactly.
-
-    ``current_rows`` need only carry ``case`` plus
-    :data:`SERVICE_SHAPE_FIELDS`, so the shape can be derived from the
-    bench grid without launching the daemon; a changed grid silently
-    re-scopes the pinned throughput, so it must be re-pinned on purpose.
-    """
-    report = GateReport()
-    base_rows = _service_rows(baseline)
-    for row in current_rows:
-        label = f"service.{row['case']}"
-        base = base_rows.get(row["case"])
-        for field_name in SERVICE_SHAPE_FIELDS:
-            _check_exact(
-                report, f"{label}.{field_name}", row[field_name],
-                None if base is None else base.get(field_name),
-            )
-    return report
-
-
-def compare_service(
-    current_rows: list[dict],
-    baseline: dict | None,
-    *,
-    perf_floor: float = DEFAULT_PERF_FLOOR,
-    min_rps: float = 500.0,
-) -> GateReport:
-    """Gate re-measured service rows against a ``BENCH_service.json`` dict.
-
-    Per case row: the request/tenant/cell counts are structural (a changed
-    workload shape silently re-scopes the number) and throughput is gated
-    two ways — relative to the committed baseline via the perf floor, and
-    against the absolute ``min_rps`` floor the service is specified to
-    sustain on the micro grid regardless of what the baseline drifted to.
-    """
-    report = compare_service_shape(current_rows, baseline)
-    base_rows = _service_rows(baseline)
-    for row in current_rows:
-        label = f"service.{row['case']}"
-        base = base_rows.get(row["case"])
-        _check_floor(
-            report, f"{label}.rps", row["rps"],
-            None if base is None else base.get("rps"), perf_floor,
-        )
-        _check_floor(report, f"{label}.rps_absolute", row["rps"], min_rps, 1.0)
     return report
 
 

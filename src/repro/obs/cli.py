@@ -9,7 +9,8 @@ write the run manifest (:mod:`repro.obs.manifest`) to a file.
 Unlike the figure runners, this command always builds a **fresh** backend so
 the metrics cover exactly one run, and it keeps the full timeline instead of
 only ``total_time``. The numbers match the figure runners bit for bit —
-both paths call the same ``Backend.run`` on the same schedule.
+both build through :func:`repro.runner.experiments.build_backend` and call
+the same ``Backend.run`` on the same schedule.
 
 Examples::
 
@@ -45,39 +46,6 @@ _FIGURE_ALGOS = {
 }
 
 
-def _fresh_backend(name: str, n: int, w: int, interpretation: str,
-                   metrics: MetricsRegistry):
-    """A new backend instance with ``metrics`` bound, plus its config.
-
-    Mirrors :func:`repro.runner.experiments.get_backend` but never reuses
-    the cached instances — a shared backend would accumulate metrics from
-    unrelated runs.
-    """
-    from repro.backend.analytic import AnalyticBackend
-    from repro.backend.electrical import ElectricalBackend
-    from repro.backend.optical import OpticalBackend
-    from repro.electrical.config import ElectricalSystemConfig
-    from repro.optical.config import OpticalSystemConfig
-
-    if name == "optical":
-        config = OpticalSystemConfig(
-            n_nodes=n, n_wavelengths=w, interpretation=interpretation
-        )
-        return OpticalBackend(config, metrics=metrics), config
-    if name == "electrical":
-        config = ElectricalSystemConfig(n_nodes=n, interpretation=interpretation)
-        return ElectricalBackend(config, metrics=metrics), config
-    if name == "analytic":
-        config = OpticalSystemConfig(
-            n_nodes=n, n_wavelengths=w, interpretation=interpretation
-        )
-        return AnalyticBackend(config.cost_model(), w=w, metrics=metrics), config
-    raise ValueError(
-        f"obs cannot construct backend {name!r}; "
-        "supported: optical, electrical, analytic"
-    )
-
-
 def _resolve_cell(args) -> tuple[str, int, int, int | None]:
     """(base algorithm, n, w, wrht_m) for the requested figure cell."""
     from repro.core.wavelengths import optimal_group_size
@@ -102,12 +70,11 @@ def _resolve_cell(args) -> tuple[str, int, int, int | None]:
 
 def _backend_name(args) -> str:
     """The effective backend, honoring fig7's electrical/optical split."""
-    from repro.runner.experiments import _resolve_backend
+    from repro.runner.experiments import _fig7_backend, _resolve_backend
 
-    simulated = "optical"
-    if args.figure == "fig7" and args.algo in ("E-Ring", "RD"):
-        simulated = "electrical"
-    return _resolve_backend(args.mode, args.backend, simulated=simulated)
+    if args.figure == "fig7":
+        return _fig7_backend(args.algo, args.mode, args.backend)
+    return _resolve_backend(args.mode, args.backend)
 
 
 def _render_timeline(result) -> str:
@@ -161,6 +128,8 @@ def _render_metrics(snapshot) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the obs CLI parser (exposed for the docs/tests)."""
+    from repro.backend import registry
+
     parser = argparse.ArgumentParser(
         prog="wrht-repro obs",
         description="run one figure cell with metrics enabled: per-step "
@@ -193,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="calibrated",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="force one pricing backend (optical/electrical/analytic)",
+        "--backend", choices=registry.available(), default=None,
+        help="force one pricing backend for the cell "
+        "(default: the mode's historical mapping)",
     )
     parser.add_argument(
         "--manifest", default=None, metavar="PATH",
@@ -210,7 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     from repro.dnn.workload import workload_by_name
-    from repro.runner.experiments import HRING_M, _build_cell_schedule
+    from repro.runner.experiments import (
+        HRING_M,
+        _build_cell_schedule,
+        build_backend,
+    )
 
     args = build_parser().parse_args(argv)
     if args.algo not in _FIGURE_ALGOS[args.figure]:
@@ -223,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     workload = workload_by_name(args.workload)
     algo, n, w, wrht_m = _resolve_cell(args)
     metrics = NULL_METRICS if args.no_metrics else MetricsRegistry()
-    backend, config = _fresh_backend(
-        _backend_name(args), n, w, args.interpretation, metrics
+    backend, config = build_backend(
+        _backend_name(args), n, w, args.interpretation, metrics=metrics
     )
     schedule = _build_cell_schedule(
         algo, n, w, workload, wrht_m=wrht_m, hring_m=HRING_M

@@ -26,8 +26,7 @@ Modules:
   past 50% affected).
 - :mod:`~repro.backend.plancache` — bounded LRU of priced step plans shared
   across executors and ``execute()`` calls (cross-run sweeps reuse RWA
-  results bit-exactly); :mod:`repro.service.store` layers the sharded
-  persistent plan store underneath.
+  results bit-exactly).
 - :mod:`~repro.optical.circuit` — established circuits and conflict
   validation helpers used by the tests.
 - :mod:`~repro.optical.phy` — per-path insertion-loss/crosstalk checks.

@@ -8,11 +8,8 @@ Commands mirror the deliverables:
 - ``verify``              — numerically verify an algorithm's schedule.
 - ``check``               — statically verify golden plans / run the lint.
 - ``obs``                 — observe one figure cell (metrics, manifest).
-- ``serve``               — planning-service daemon / smoke (repro.service).
-- ``all``                 — everything above at paper defaults.
-
-Figure commands accept ``--service SOCKET`` to route every grid cell
-through a running planning daemon instead of lowering in-process.
+- ``report``              — write the markdown results document.
+- ``all``                 — Table 1 and every figure at paper defaults.
 """
 
 from __future__ import annotations
@@ -23,7 +20,8 @@ import sys
 from repro.util.tables import AsciiTable
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_pricing(p: argparse.ArgumentParser) -> None:
+    """The flags every priced command honours: mode, units, backend."""
     from repro.backend import registry
 
     p.add_argument(
@@ -39,12 +37,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="force one pricing backend for every cell "
         "(default: the mode's historical mapping)",
     )
-    p.add_argument(
-        "--service", metavar="SOCKET", default=None,
-        help="route every cell through the planning daemon at this unix "
-        "socket (see 'wrht-repro serve'; answers are bit-identical to "
-        "in-process evaluation)",
-    )
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """The figure commands' flags: pricing plus the reconfiguration model."""
+    _add_pricing(p)
     p.add_argument(
         "--t-tune", type=float, default=0.0, metavar="SECONDS",
         help="per-MRR thermal tuning time; enables the reconfiguration "
@@ -72,10 +69,7 @@ def _cmd_table1(args) -> int:
 def _figure(runner, args, reductions: list[tuple[str, str]]) -> int:
     result = runner(
         mode=args.mode, interpretation=args.interpretation,
-        backend=getattr(args, "backend", None),
-        service=getattr(args, "service", None),
-        t_tune=getattr(args, "t_tune", 0.0),
-        overlap=getattr(args, "overlap", True),
+        backend=args.backend, t_tune=args.t_tune, overlap=args.overlap,
     )
     print(result.render())
     summary = AsciiTable(["comparison", "avg reduction (%)"])
@@ -91,10 +85,7 @@ def _cmd_fig4(args) -> int:
 
     result = run_fig4(
         mode=args.mode, interpretation=args.interpretation,
-        backend=getattr(args, "backend", None),
-        service=getattr(args, "service", None),
-        t_tune=getattr(args, "t_tune", 0.0),
-        overlap=getattr(args, "overlap", True),
+        backend=args.backend, t_tune=args.t_tune, overlap=args.overlap,
     )
     print(result.render())
     ref_algo, ref_m = result.meta["reference"]
@@ -190,18 +181,12 @@ def _cmd_obs(args) -> int:
     return obs_main(args.rest)
 
 
-def _cmd_serve(args) -> int:
-    from repro.service.__main__ import main as service_main
-
-    return service_main(args.rest)
-
-
 def _cmd_report(args) -> int:
     from repro.runner.results import write_report
 
     text = write_report(
         args.output, mode=args.mode, interpretation=args.interpretation,
-        backend=getattr(args, "backend", None),
+        backend=args.backend,
     )
     print(f"wrote {len(text.splitlines())} lines to {args.output}")
     return 0
@@ -272,16 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rest", nargs=argparse.REMAINDER)
     p.set_defaults(fn=_cmd_obs)
 
-    p = sub.add_parser(
-        "serve",
-        help="planning-service daemon and smoke check (repro.service)",
-        add_help=False,
-    )
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-    p.set_defaults(fn=_cmd_serve)
-
     p = sub.add_parser("report", help="write a markdown results document")
-    _add_common(p)
+    _add_pricing(p)
     p.add_argument("--output", default="RESULTS.md")
     p.set_defaults(fn=_cmd_report)
 
@@ -301,11 +278,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.cli import main as obs_main
 
         return obs_main(argv[1:])
-    if argv[:1] == ["serve"]:
-        # Forward verbatim for the same reason as ``check`` below.
-        from repro.service.__main__ import main as service_main
-
-        return service_main(argv[1:])
     if argv[:1] == ["check"]:
         # Forward verbatim: argparse REMAINDER drops leading optionals, so
         # the check subcommand's flags are parsed by its own parser.

@@ -25,6 +25,7 @@ from repro.collectives.registry import build_schedule
 from repro.core.wavelengths import optimal_group_size
 from repro.dnn.workload import PAPER_WORKLOADS, DnnWorkload
 from repro.electrical.config import ElectricalSystemConfig
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.optical.config import OpticalSystemConfig
 from repro.runner.report import ExperimentResult
 from repro.runner.sweep import sweep
@@ -50,12 +51,12 @@ def _check_mode(mode: str) -> None:
 _BACKENDS: dict[tuple, Backend] = {}
 
 
-def _resolve_backend(mode: str, backend: str | None, simulated: str = "optical") -> str:
+def _resolve_backend(mode: str, backend: str | None) -> str:
     """The effective backend name for one experiment cell.
 
     An explicit ``backend`` wins; otherwise ``mode`` keeps its historical
     meaning — ``"analytical"`` prices with the closed forms, ``"simulated"``
-    with the substrate executor named by ``simulated``.
+    with the optical ring executor.
     """
     if backend is not None:
         if backend not in registry.available():
@@ -63,56 +64,69 @@ def _resolve_backend(mode: str, backend: str | None, simulated: str = "optical")
                 f"unknown backend {backend!r}; available: {registry.available()}"
             )
         return backend
-    return "analytic" if mode == "analytical" else simulated
+    return "analytic" if mode == "analytical" else "optical"
+
+
+def build_backend(
+    name: str, n: int, w: int, interpretation: str,
+    t_tune: float = 0.0, overlap: bool = True,
+    metrics: MetricsRegistry = NULL_METRICS,
+) -> tuple[Backend, OpticalSystemConfig | ElectricalSystemConfig]:
+    """A new backend for one cell, plus the system config it was built on.
+
+    The one construction path: :func:`get_backend` caches its result per
+    configuration, and ``wrht-repro obs`` calls it directly with its own
+    ``metrics`` registry so the metrics cover exactly one run.
+    ``t_tune``/``overlap`` configure the MRR reconfiguration model
+    (:mod:`repro.optical.reconfig`); the defaults leave it disabled, so
+    every historical cell stays bit-identical.
+    """
+    if name == "optical":
+        config = OpticalSystemConfig(
+            n_nodes=n, n_wavelengths=w, interpretation=interpretation,
+            t_tune=t_tune,
+        )
+        return registry.create(
+            "optical", config=config, overlap=overlap, metrics=metrics
+        ), config
+    if name == "electrical":
+        config = ElectricalSystemConfig(n_nodes=n, interpretation=interpretation)
+        return registry.create(
+            "electrical", config=config, metrics=metrics
+        ), config
+    if name == "analytic":
+        from repro.optical.reconfig import ReconfigModel
+
+        config = OpticalSystemConfig(
+            n_nodes=n, n_wavelengths=w, interpretation=interpretation
+        )
+        return registry.create(
+            "analytic", model=config.cost_model(), w=w,
+            reconfig=ReconfigModel(t_tune=t_tune), overlap=overlap,
+            metrics=metrics,
+        ), config
+    raise ValueError(
+        f"the experiment runner cannot construct backend {name!r}; "
+        "supported: optical, electrical, analytic"
+    )
 
 
 def get_backend(
     name: str, n: int, w: int, interpretation: str,
     t_tune: float = 0.0, overlap: bool = True,
 ) -> Backend:
-    """A cached backend instance for one
+    """A cached :func:`build_backend` instance for one
     ``(backend, N, w, interpretation, t_tune, overlap)``.
 
     Instances (and the process-wide plan cache behind their ``lower()``)
     are reused across experiment calls; :func:`clear_network_caches` drops
-    them. ``t_tune``/``overlap`` configure the MRR reconfiguration model
-    (:mod:`repro.optical.reconfig`); the defaults leave it disabled, so
-    every historical cell stays bit-identical.
+    them.
     """
     key = (name, n, w, interpretation, t_tune, overlap)
     be = _BACKENDS.get(key)
-    if be is not None:
-        return be
-    if name == "optical":
-        be = registry.create(
-            "optical",
-            config=OpticalSystemConfig(
-                n_nodes=n, n_wavelengths=w, interpretation=interpretation,
-                t_tune=t_tune,
-            ),
-            overlap=overlap,
-        )
-    elif name == "electrical":
-        be = registry.create(
-            "electrical",
-            config=ElectricalSystemConfig(n_nodes=n, interpretation=interpretation),
-        )
-    elif name == "analytic":
-        from repro.optical.reconfig import ReconfigModel
-
-        cfg = OpticalSystemConfig(
-            n_nodes=n, n_wavelengths=w, interpretation=interpretation
-        )
-        be = registry.create(
-            "analytic", model=cfg.cost_model(), w=w,
-            reconfig=ReconfigModel(t_tune=t_tune), overlap=overlap,
-        )
-    else:
-        raise ValueError(
-            f"the experiment runner cannot construct backend {name!r}; "
-            "supported: optical, electrical, analytic"
-        )
-    _BACKENDS[key] = be
+    if be is None:
+        be, _ = build_backend(name, n, w, interpretation, t_tune, overlap)
+        _BACKENDS[key] = be
     return be
 
 
@@ -127,92 +141,22 @@ def _build_cell_schedule(algo: str, n: int, w: int, workload: DnnWorkload, *,
     return build_schedule(algo, n, workload.n_params, **kwargs)
 
 
-# Daemon clients are cached per socket path per process: sweep workers each
-# open their own connection (sockets never survive pickling into a worker).
-_CLIENTS: dict[str, object] = {}
-
-
-def _service_client(service: str):
-    """The process's client for the planning daemon at ``service``."""
-    from repro.service.client import PlanClient
-
-    client = _CLIENTS.get(service)
-    if client is None:
-        client = PlanClient(service)
-        _CLIENTS[service] = client
-    return client
-
-
-def _service_time(
-    service: str,
+def _cell_time(
     backend: str,
     algo: str,
     n: int,
     w: int,
     workload: DnnWorkload,
     interpretation: str,
-    wrht_m: int | None,
-    hring_m: int,
-) -> float:
-    """One cell served by the planning daemon (bit-identical by contract)."""
-    return _service_client(service).total_time(
-        algo, n, workload.n_params,
-        backend=backend,
-        n_wavelengths=w,
-        interpretation=interpretation,
-        bytes_per_elem=workload.bytes_per_param,
-        m=wrht_m,
-        hring_m=hring_m,
-    )
-
-
-def _optical_time(
-    algo: str,
-    n: int,
-    w: int,
-    workload: DnnWorkload,
-    mode: str,
-    interpretation: str,
     wrht_m: int | None = None,
-    hring_m: int = HRING_M,
-    backend: str | None = None,
-    service: str | None = None,
     t_tune: float = 0.0,
     overlap: bool = True,
 ) -> float:
-    """Seconds for one algorithm on the mode- or flag-selected backend."""
-    name = _resolve_backend(mode, backend)
-    if service is not None:
-        if t_tune > 0:
-            raise ValueError(
-                "--t-tune is evaluated in-process; the planning daemon "
-                "protocol does not carry a reconfiguration model"
-            )
-        return _service_time(
-            service, name, algo, n, w, workload, interpretation, wrht_m, hring_m
-        )
-    be = get_backend(name, n, w, interpretation, t_tune, overlap)
+    """Seconds for one algorithm on the named backend."""
+    be = get_backend(backend, n, w, interpretation, t_tune, overlap)
     schedule = _build_cell_schedule(
-        algo, n, w, workload, wrht_m=wrht_m, hring_m=hring_m
+        algo, n, w, workload, wrht_m=wrht_m, hring_m=HRING_M
     )
-    return be.run(schedule, bytes_per_elem=workload.bytes_per_param).total_time
-
-
-def _electrical_time(
-    algo: str,
-    n: int,
-    workload: DnnWorkload,
-    interpretation: str,
-    service: str | None = None,
-) -> float:
-    """Seconds for one algorithm on the electrical fat-tree (simulated)."""
-    if service is not None:
-        return _service_time(
-            service, "electrical", algo, n, DEFAULT_WAVELENGTHS, workload,
-            interpretation, None, HRING_M,
-        )
-    be = get_backend("electrical", n, DEFAULT_WAVELENGTHS, interpretation)
-    schedule = build_schedule(algo, n, workload.n_params, materialize=False)
     return be.run(schedule, bytes_per_elem=workload.bytes_per_param).total_time
 
 
@@ -234,38 +178,37 @@ def clear_network_caches() -> None:
 def _fig4_cell(
     workload: DnnWorkload, m: int, mode: str, interpretation: str,
     n_nodes: int, n_wavelengths: int, backend: str | None = None,
-    service: str | None = None, t_tune: float = 0.0, overlap: bool = True,
+    t_tune: float = 0.0, overlap: bool = True,
 ) -> float:
     """One Fig 4 grid cell: WRHT at group size ``m`` on one workload."""
-    return _optical_time(
-        "WRHT", n_nodes, n_wavelengths, workload, mode, interpretation,
-        wrht_m=m, backend=backend, service=service, t_tune=t_tune,
-        overlap=overlap,
+    return _cell_time(
+        _resolve_backend(mode, backend), "WRHT", n_nodes, n_wavelengths,
+        workload, interpretation, wrht_m=m, t_tune=t_tune, overlap=overlap,
     )
 
 
 def _fig5_cell(
     workload: DnnWorkload, algo: str, w: int, mode: str, interpretation: str,
-    n_nodes: int, backend: str | None = None, service: str | None = None,
+    n_nodes: int, backend: str | None = None,
     t_tune: float = 0.0, overlap: bool = True,
 ) -> float:
     """One Fig 5 grid cell: ``algo`` under wavelength count ``w``."""
-    return _optical_time(
-        algo, n_nodes, w, workload, mode, interpretation,
-        wrht_m=min(optimal_group_size(w), n_nodes), backend=backend,
-        service=service, t_tune=t_tune, overlap=overlap,
+    return _cell_time(
+        _resolve_backend(mode, backend), algo, n_nodes, w, workload,
+        interpretation, wrht_m=min(optimal_group_size(w), n_nodes),
+        t_tune=t_tune, overlap=overlap,
     )
 
 
 def _fig6_cell(
     workload: DnnWorkload, algo: str, n: int, mode: str, interpretation: str,
-    n_wavelengths: int, backend: str | None = None, service: str | None = None,
+    n_wavelengths: int, backend: str | None = None,
     t_tune: float = 0.0, overlap: bool = True,
 ) -> float:
     """One Fig 6 grid cell: ``algo`` at cluster size ``n``."""
-    return _optical_time(
-        algo, n, n_wavelengths, workload, mode, interpretation, backend=backend,
-        service=service, t_tune=t_tune, overlap=overlap,
+    return _cell_time(
+        _resolve_backend(mode, backend), algo, n, n_wavelengths, workload,
+        interpretation, t_tune=t_tune, overlap=overlap,
     )
 
 
@@ -273,9 +216,17 @@ def _fig6_cell(
 _FIG7_BASE = {"E-Ring": "Ring", "O-Ring": "Ring", "RD": "RD", "WRHT": "WRHT"}
 
 
+def _fig7_backend(algo: str, mode: str, backend: str | None) -> str:
+    """Fig 7's split: E-Ring/RD on the fat-tree in every mode, unless an
+    explicit ``backend`` forces every flavor through one backend."""
+    if backend is None and algo in ("E-Ring", "RD"):
+        return "electrical"
+    return _resolve_backend(mode, backend)
+
+
 def _fig7_cell(
     workload: DnnWorkload, algo: str, n: int, mode: str, interpretation: str,
-    n_wavelengths: int, backend: str | None = None, service: str | None = None,
+    n_wavelengths: int, backend: str | None = None,
     t_tune: float = 0.0, overlap: bool = True,
 ) -> float:
     """One Fig 7 grid cell: electrical or optical flavor by algorithm.
@@ -286,17 +237,9 @@ def _fig7_cell(
     The tuning tax only applies to the optical flavors: the fat-tree has
     no MRRs, which is exactly the comparison Fig 7 makes.
     """
-    base = _FIG7_BASE[algo]
-    if backend is not None:
-        return _optical_time(
-            base, n, n_wavelengths, workload, mode, interpretation,
-            backend=backend, service=service, t_tune=t_tune, overlap=overlap,
-        )
-    if algo in ("E-Ring", "RD"):
-        return _electrical_time(base, n, workload, interpretation, service=service)
-    return _optical_time(
-        base, n, n_wavelengths, workload, mode, interpretation, service=service,
-        t_tune=t_tune, overlap=overlap,
+    return _cell_time(
+        _fig7_backend(algo, mode, backend), _FIG7_BASE[algo], n, n_wavelengths,
+        workload, interpretation, t_tune=t_tune, overlap=overlap,
     )
 
 
@@ -343,7 +286,6 @@ def run_fig4(
     workloads: tuple[DnnWorkload, ...] = PAPER_WORKLOADS,
     workers: int | None = None,
     backend: str | None = None,
-    service: str | None = None,
     t_tune: float = 0.0,
     overlap: bool = True,
 ) -> ExperimentResult:
@@ -366,7 +308,7 @@ def run_fig4(
     cell = functools.partial(
         _fig4_cell, mode=mode, interpretation=interpretation,
         n_nodes=n_nodes, n_wavelengths=n_wavelengths, backend=backend,
-        service=service, t_tune=t_tune, overlap=overlap,
+        t_tune=t_tune, overlap=overlap,
     )
     grid = sweep(cell, {"workload": workloads, "m": group_sizes}, workers=workers)
     for wl in workloads:
@@ -383,7 +325,6 @@ def run_fig5(
     workloads: tuple[DnnWorkload, ...] = PAPER_WORKLOADS,
     workers: int | None = None,
     backend: str | None = None,
-    service: str | None = None,
     t_tune: float = 0.0,
     overlap: bool = True,
 ) -> ExperimentResult:
@@ -404,7 +345,7 @@ def run_fig5(
     algos = ("Ring", "H-Ring", "BT", "WRHT")
     cell = functools.partial(
         _fig5_cell, mode=mode, interpretation=interpretation, n_nodes=n_nodes,
-        backend=backend, service=service, t_tune=t_tune, overlap=overlap,
+        backend=backend, t_tune=t_tune, overlap=overlap,
     )
     grid = sweep(
         cell, {"workload": workloads, "algo": algos, "w": wavelengths},
@@ -427,7 +368,6 @@ def run_fig6(
     workloads: tuple[DnnWorkload, ...] = PAPER_WORKLOADS,
     workers: int | None = None,
     backend: str | None = None,
-    service: str | None = None,
     t_tune: float = 0.0,
     overlap: bool = True,
 ) -> ExperimentResult:
@@ -445,7 +385,7 @@ def run_fig6(
     algos = ("Ring", "H-Ring", "BT", "WRHT")
     cell = functools.partial(
         _fig6_cell, mode=mode, interpretation=interpretation,
-        n_wavelengths=n_wavelengths, backend=backend, service=service,
+        n_wavelengths=n_wavelengths, backend=backend,
         t_tune=t_tune, overlap=overlap,
     )
     grid = sweep(
@@ -466,7 +406,6 @@ def run_fig7(
     workloads: tuple[DnnWorkload, ...] = PAPER_WORKLOADS,
     workers: int | None = None,
     backend: str | None = None,
-    service: str | None = None,
     t_tune: float = 0.0,
     overlap: bool = True,
 ) -> ExperimentResult:
@@ -486,7 +425,7 @@ def run_fig7(
     algos = ("E-Ring", "RD", "O-Ring", "WRHT")
     cell = functools.partial(
         _fig7_cell, mode=mode, interpretation=interpretation,
-        n_wavelengths=n_wavelengths, backend=backend, service=service,
+        n_wavelengths=n_wavelengths, backend=backend,
         t_tune=t_tune, overlap=overlap,
     )
     grid = sweep(

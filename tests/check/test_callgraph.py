@@ -4,7 +4,6 @@ import textwrap
 
 from repro.check.callgraph import build_callgraph, module_name
 from repro.check.effects import (
-    BLOCKING,
     RNG,
     WALLCLOCK,
     key_sink_params,
@@ -23,7 +22,7 @@ def _graph(*files):
 
 class TestModuleName:
     def test_src_layout_maps_to_dotted_module(self):
-        assert module_name("src/repro/service/daemon.py") == "repro.service.daemon"
+        assert module_name("src/repro/check/flow.py") == "repro.check.flow"
 
     def test_init_module_drops_suffix(self):
         assert module_name("src/repro/check/__init__.py") == "repro.check"
@@ -124,12 +123,12 @@ class TestResolution:
 
 
 class TestEffectPropagation:
-    def test_blocking_propagates_transitively(self):
+    def test_rng_propagates_transitively(self):
         graph = _graph(("m.py", """
-            import time
+            import random
 
             def low():
-                time.sleep(1)
+                return random.Random().random()
 
             def mid():
                 low()
@@ -138,9 +137,9 @@ class TestEffectPropagation:
                 mid()
         """))
         report = propagate_effects(graph)
-        assert report.has("m:high", BLOCKING)
-        chain = report.chain("m:high", BLOCKING)
-        assert chain[0] == "m:high" and chain[-1] == "time.sleep"
+        assert report.has("m:high", RNG)
+        chain = report.chain("m:high", RNG)
+        assert chain == ["m:high", "m:mid", "m:low", "random.Random"]
 
     def test_wallclock_and_rng_are_distinct_effects(self):
         graph = _graph(("m.py", """

@@ -46,24 +46,24 @@ class TestFlowCommand:
     def test_flow_flags_violation_and_writes_sarif(self, tmp_path, capsys):
         bad = tmp_path / "svc.py"
         bad.write_text(
-            "import time\n\n\nasync def handler():\n    time.sleep(1)\n"
+            "import time\n\n\ndef cache_key(cfg):\n    return (cfg, time.time())\n"
         )
         sarif = tmp_path / "flow.sarif.json"
         assert main(["flow", str(tmp_path), "--sarif", str(sarif)]) == 1
-        assert "CONC001" in capsys.readouterr().out
+        assert "DET001" in capsys.readouterr().out
         import json
 
         log = json.loads(sarif.read_text())
         assert log["version"] == "2.1.0"
-        assert log["runs"][0]["results"][0]["ruleId"] == "CONC001"
+        assert log["runs"][0]["results"][0]["ruleId"] == "DET001"
 
     def test_flow_select_restricts_rules(self, tmp_path, capsys):
         bad = tmp_path / "svc.py"
         bad.write_text(
-            "import time\n\n\nasync def handler():\n    time.sleep(1)\n"
+            "import time\n\n\ndef cache_key(cfg):\n    return (cfg, time.time())\n"
         )
-        assert main(["flow", str(tmp_path), "--select", "DET001"]) == 0
-        assert "CONC001" not in capsys.readouterr().out
+        assert main(["flow", str(tmp_path), "--select", "DET004"]) == 0
+        assert "DET001" not in capsys.readouterr().out
 
     def test_flow_unknown_rule_rejected(self, capsys):
         assert main(["flow", "src", "--select", "NOPE999"]) == 2
@@ -72,7 +72,7 @@ class TestFlowCommand:
     def test_flow_list_rules(self, capsys):
         assert main(["flow", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("CONC001", "CONC005", "DET001", "DET004"):
+        for rule_id in ("DET001", "DET002", "DET003", "DET004"):
             assert rule_id in out
 
 

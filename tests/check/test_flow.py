@@ -1,4 +1,4 @@
-"""Adversarial fixtures for the CONC/DET flow rules (repro.check.flow).
+"""Adversarial fixtures for the DET flow rules (repro.check.flow).
 
 Each rule id gets at least one injected violation asserting the exact id
 fires, plus a near-miss fixture asserting it stays quiet. The suppression
@@ -24,213 +24,6 @@ def _ids(*files, select=None):
 
 def _findings(source, select=None):
     return analyze_files([("m.py", textwrap.dedent(source))], select=select)
-
-
-class TestConc001BlockingInAsync:
-    def test_direct_blocking_call_flagged(self):
-        assert _ids(("m.py", """
-            import time
-
-            async def handler():
-                time.sleep(1)
-        """)) == ["CONC001"]
-
-    def test_transitive_blocking_via_sync_callee_flagged(self):
-        findings = _findings("""
-            import subprocess
-
-            def run_tool():
-                subprocess.run(["true"])
-
-            async def handler():
-                run_tool()
-        """)
-        assert [f.rule_id for f in findings] == ["CONC001"]
-        assert "run_tool" in findings[0].message
-
-    def test_async_sleep_passes(self):
-        assert _ids(("m.py", """
-            import asyncio
-
-            async def handler():
-                await asyncio.sleep(1)
-        """)) == []
-
-    def test_blocking_in_sync_function_passes(self):
-        assert _ids(("m.py", """
-            import time
-
-            def worker():
-                time.sleep(1)
-        """)) == []
-
-
-class TestConc002SharedState:
-    def test_read_modify_write_across_await_flagged(self):
-        assert _ids(("m.py", """
-            class Service:
-                def __init__(self):
-                    self._pending = 0
-
-                async def admit(self, fut):
-                    count = self._pending
-                    await fut
-                    self._pending = count + 1
-        """)) == ["CONC002"]
-
-    def test_augassign_after_await_passes(self):
-        # += executes atomically between yield points on the loop.
-        assert _ids(("m.py", """
-            class Service:
-                def __init__(self):
-                    self._pending = 0
-
-                async def admit(self, fut):
-                    self._pending += 1
-                    await fut
-                    self._pending -= 1
-        """)) == []
-
-    def test_executor_dispatched_mutation_flagged(self):
-        assert _ids(("m.py", """
-            class Service:
-                def __init__(self, loop, pool):
-                    self._loop = loop
-                    self._pool = pool
-                    self._stats = {}
-
-                async def poll(self):
-                    return self._stats
-
-                async def kick(self):
-                    self._loop.run_in_executor(self._pool, self._work)
-
-                def _work(self):
-                    self._stats = {}
-        """)) == ["CONC002"]
-
-    def test_executor_worker_touching_private_state_passes(self):
-        # The worker's attribute is never touched by an async method.
-        assert _ids(("m.py", """
-            class Service:
-                def __init__(self, loop, pool):
-                    self._loop = loop
-                    self._pool = pool
-                    self._scratch = 0
-
-                async def kick(self):
-                    self._loop.run_in_executor(self._pool, self._work)
-
-                def _work(self):
-                    self._scratch += 1
-        """)) == []
-
-
-class TestConc003UnawaitedCoroutine:
-    def test_bare_coroutine_statement_flagged(self):
-        assert _ids(("m.py", """
-            class Service:
-                async def tick(self):
-                    pass
-
-                async def run(self):
-                    self.tick()
-        """)) == ["CONC003"]
-
-    def test_awaited_and_task_wrapped_pass(self):
-        assert _ids(("m.py", """
-            import asyncio
-
-            class Service:
-                async def tick(self):
-                    pass
-
-                async def run(self):
-                    await self.tick()
-                    asyncio.create_task(self.tick())
-        """)) == []
-
-
-class TestConc004ForkIdentity:
-    SOURCE = """
-        import os
-        from pathlib import Path
-
-        class Store:
-            def __init__(self, root):
-                self.root = Path(root)
-                self._owner_pid = os.getpid()
-
-            def _check_owner(self):
-                if self._owner_pid != os.getpid():
-                    self._owner_pid = os.getpid()
-
-            def put(self, key, value):
-                return self.root / f"blob-{self._owner_pid}.pkl"
-
-            def get(self, key):
-                self._check_owner()
-                return self._owner_pid
-    """
-
-    def test_public_method_without_recheck_flagged(self):
-        findings = _findings(self.SOURCE)
-        assert [f.rule_id for f in findings] == ["CONC004"]
-        assert "put()" in findings[0].message
-
-    def test_rechecked_method_passes(self):
-        fixed = self.SOURCE.replace(
-            'def put(self, key, value):\n                return',
-            'def put(self, key, value):\n'
-            '                self._check_owner()\n                return',
-        )
-        assert _ids(("m.py", fixed)) == []
-
-    def test_class_without_cached_pid_passes(self):
-        assert _ids(("m.py", """
-            import os
-
-            class Store:
-                def put(self, key):
-                    return os.getpid()
-        """)) == []
-
-
-class TestConc005NonAtomicShardWrite:
-    def test_direct_shard_write_flagged(self):
-        assert _ids(("m.py", """
-            from pathlib import Path
-
-            def flush(root, blob):
-                (root / "shard-0.pkl").write_bytes(blob)
-        """)) == ["CONC005"]
-
-    def test_var_held_shard_target_flagged(self):
-        assert _ids(("m.py", """
-            from pathlib import Path
-
-            def flush(root, blob):
-                target = root / "shard-0.pkl"
-                target.write_bytes(blob)
-        """)) == ["CONC005"]
-
-    def test_tmp_plus_replace_passes(self):
-        assert _ids(("m.py", """
-            import os
-            from pathlib import Path
-
-            def flush(root, blob):
-                target = root / "shard-0.pkl"
-                tmp = target.with_name(target.name + ".tmp")
-                tmp.write_bytes(blob)
-                os.replace(tmp, target)
-        """)) == []
-
-    def test_non_shard_write_passes(self):
-        assert _ids(("m.py", """
-            def flush(root, blob):
-                (root / "report.json").write_bytes(blob)
-        """)) == []
 
 
 class TestDet001WallClockInKeys:
@@ -370,30 +163,30 @@ class TestPragmasAndDriver:
         assert _ids(("m.py", """
             import time
 
-            async def handler():
-                time.sleep(1)  # CONC001: smoke harness, loop is idle here
+            def cache_key(cfg):
+                return (cfg, time.time())  # DET001: fixture, display-only stamp
         """)) == []
 
     def test_bare_pragma_does_not_suppress(self):
         assert _ids(("m.py", """
             import time
 
-            async def handler():
-                time.sleep(1)  # CONC001
-        """)) == ["CONC001"]
+            def cache_key(cfg):
+                return (cfg, time.time())  # DET001
+        """)) == ["DET001"]
 
     def test_select_restricts_rules(self):
         source = ("m.py", """
             import time
 
-            async def handler():
-                time.sleep(1)
-
             def cache_key(cfg):
                 return (cfg, time.time())
+
+            def coalesce_key(request):
+                return id(request)
         """)
         assert _ids(source, select={"DET001"}) == ["DET001"]
-        assert sorted(_ids(source)) == ["CONC001", "DET001"]
+        assert sorted(_ids(source)) == ["DET001", "DET004"]
 
     def test_syntax_error_becomes_finding(self):
         findings = analyze_files([("bad.py", "def broken(:\n")])
@@ -404,8 +197,8 @@ class TestPragmasAndDriver:
         (finding,) = _findings("""
             import time
 
-            async def handler():
-                time.sleep(1)
+            def cache_key(cfg):
+                return (cfg, time.time())
         """)
         assert finding.location == "m.py:5"
         assert finding.details["line"] == 5
@@ -422,8 +215,8 @@ class TestSarif:
         findings = _findings("""
             import time
 
-            async def handler():
-                time.sleep(1)
+            def cache_key(cfg):
+                return (cfg, time.time())
         """)
         log = to_sarif(findings, rule_catalog=FLOW_RULES)
         assert log["version"] == "2.1.0"
@@ -435,9 +228,9 @@ class TestSarif:
         assert rule_ids == sorted(set(rule_ids))
         assert set(FLOW_RULES) <= set(rule_ids)
         (result,) = run["results"]
-        assert result["ruleId"] == "CONC001"
+        assert result["ruleId"] == "DET001"
         assert result["level"] == "error"
-        assert rule_ids[result["ruleIndex"]] == "CONC001"
+        assert rule_ids[result["ruleIndex"]] == "DET001"
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "m.py"
         assert location["region"]["startLine"] == 5

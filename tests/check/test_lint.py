@@ -183,10 +183,10 @@ class TestRep007PlanCacheMutation:
             path="src/repro/optical/network.py",
         ) == []
 
-    def test_store_module_passes(self):
+    def test_cache_module_passes(self):
         assert _ids(
             "self.plan_cache.put(key, value)\n",
-            path="src/repro/service/store.py",
+            path="src/repro/backend/plancache.py",
         ) == []
 
     def test_pragma_passes(self):
@@ -209,9 +209,9 @@ class TestRep008BarePragma:
             path=COLD_PATH,
         ) == []
 
-    def test_bare_conc_pragma_flagged(self):
-        # The shared pragma grammar covers the flow rule families too.
-        assert _ids("x = 1  # CONC001\n") == ["REP008"]
+    def test_bare_flow_pragma_flagged(self):
+        # The shared pragma grammar covers the flow rule family too.
+        assert _ids("x = 1  # DET001\n") == ["REP008"]
 
     def test_rep008_cannot_suppress_itself(self):
         assert _ids("x = 1  # REP006\n# REP008: hush\n") == ["REP008"]

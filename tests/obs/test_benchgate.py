@@ -13,8 +13,6 @@ from repro.obs.benchgate import (
     compare_reconfig,
     compare_repair,
     compare_rwa,
-    compare_service,
-    compare_service_shape,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -315,80 +313,6 @@ class TestCompareReconfig:
         ).ok
 
 
-_SERVICE_BASELINE = {
-    "service": [
-        {"case": "service-micro", "tenants": 4, "requests": 400,
-         "distinct_cells": 10, "rps": 1600.0, "p50_ms": 2.0, "p99_ms": 5.0},
-    ]
-}
-
-
-class TestCompareService:
-    def _row(self, **over):
-        row = {"case": "service-micro", "tenants": 4, "requests": 400,
-               "distinct_cells": 10, "rps": 1500.0, "p50_ms": 2.5,
-               "p99_ms": 6.0}
-        row.update(over)
-        return row
-
-    def test_pass(self):
-        report = compare_service([self._row()], _SERVICE_BASELINE)
-        assert report.ok
-        assert len(report.checked) == 5
-
-    def test_perf_floor_breach(self):
-        report = compare_service(
-            [self._row(rps=450.0)], _SERVICE_BASELINE, perf_floor=0.25
-        )
-        # 450 clears 0.25 x 1600 = 400 but breaches the absolute >=500 floor.
-        assert [v.metric for v in report.violations] == [
-            "service.service-micro.rps_absolute"
-        ]
-        report = compare_service(
-            [self._row(rps=350.0)], _SERVICE_BASELINE, perf_floor=0.5
-        )
-        assert {v.metric for v in report.violations} == {
-            "service.service-micro.rps",
-            "service.service-micro.rps_absolute",
-        }
-
-    def test_absolute_floor_is_configurable(self):
-        assert compare_service(
-            [self._row(rps=520.0)], _SERVICE_BASELINE, min_rps=500.0
-        ).ok
-        report = compare_service(
-            [self._row(rps=520.0)], _SERVICE_BASELINE, min_rps=1000.0
-        )
-        assert [v.metric for v in report.violations] == [
-            "service.service-micro.rps_absolute"
-        ]
-
-    def test_structural_counts_exact(self):
-        report = compare_service([self._row(requests=399)], _SERVICE_BASELINE)
-        assert [v.kind for v in report.violations] == ["exact"]
-
-    def test_missing_baseline_row(self):
-        report = compare_service([self._row(case="other")], _SERVICE_BASELINE)
-        # The absolute rps floor still applies without a baseline row.
-        assert len(report.violations) == 4
-        assert {v.kind for v in report.violations} == {"missing-baseline"}
-
-    def test_shape_alone_needs_no_throughput(self):
-        shape = {"case": "service-micro", "tenants": 4, "requests": 400,
-                 "distinct_cells": 10}
-        report = compare_service_shape([shape], _SERVICE_BASELINE)
-        assert report.ok
-        assert len(report.checked) == 3
-
-    def test_shape_drift_is_exact(self):
-        shape = {"case": "service-micro", "tenants": 4, "requests": 400,
-                 "distinct_cells": 14}
-        report = compare_service_shape([shape], _SERVICE_BASELINE)
-        assert [(v.metric, v.kind) for v in report.violations] == [
-            ("service.service-micro.distinct_cells", "exact")
-        ]
-
-
 class TestGateReport:
     def test_merge_accumulates(self):
         a = GateReport(checked=["x"], violations=[])
@@ -427,20 +351,6 @@ class TestBenchGateScript:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         diff = json.loads(out.read_text())
         assert diff["ok"] is True
-        # --skip-perf skips the daemon but not the service grid's shape.
-        assert "service.service-micro.distinct_cells" in diff["checked"]
-
-    def test_service_grid_drift_fails_without_perf(self, tmp_path):
-        baseline = json.loads((REPO_ROOT / "BENCH_service.json").read_text())
-        baseline["service"][0]["distinct_cells"] -= 4
-        path = tmp_path / "stale-service.json"
-        path.write_text(json.dumps(baseline))
-        out = tmp_path / "diff.json"
-        proc = _run_gate("--baseline-service", str(path), "--json", str(out))
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert [v["metric"] for v in json.loads(out.read_text())["violations"]] == [
-            "service.service-micro.distinct_cells"
-        ]
 
     def test_perturbed_baseline_fails(self, tmp_path):
         baseline = json.loads((REPO_ROOT / "BENCH_faults.json").read_text())

@@ -2,9 +2,14 @@
 
 import json
 
+import pytest
+
+from repro.backend.base import Backend
+from repro.dnn.workload import workload_by_name
 from repro.obs.cli import main as obs_main
 from repro.obs.manifest import SCHEMA
 from repro.runner.cli import main as runner_main
+from repro.runner.experiments import run_fig4, run_fig5, run_fig6, run_fig7
 
 # A cheap cell: fig5 at w=8 on 64 nodes (the default N=1024 would route
 # thousands of transfers per step).
@@ -48,3 +53,73 @@ class TestObsCli:
         # REMAINDER would otherwise swallow.
         assert runner_main(["obs", *CELL, "--no-metrics"]) == 0
         assert "fig5 cell: WRHT on AlexNet" in capsys.readouterr().out
+
+    def test_unknown_backend_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["fig6", "--backend", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def _bits(result):
+    """Every float of a result's total and timeline, as exact hex."""
+    return (
+        result.backend,
+        result.total_time.hex(),
+        tuple(
+            (r.stage, r.count, float(r.duration).hex(),
+             float(r.bytes_per_step).hex(),
+             r.n_transfers, r.rounds, r.peak_wavelength, r.max_link_share)
+            for r in result.timeline
+        ),
+    )
+
+
+@pytest.fixture
+def captured_runs(monkeypatch):
+    """Every ExecutionResult ``Backend.run`` returns while the test runs."""
+    runs = []
+    original = Backend.run
+
+    def recording(self, schedule, **kwargs):
+        result = original(self, schedule, **kwargs)
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(Backend, "run", recording)
+    return runs
+
+
+class TestSingleConstructionPath:
+    """An obs cell is bit-identical to the figure runner's grid cell: both
+    build their backend through ``experiments.build_backend``."""
+
+    @pytest.mark.parametrize(
+        ("argv", "runner", "kwargs", "index", "backend"),
+        [
+            # Optical: fig6 WRHT (runner leaves m to build_schedule, obs pins it).
+            (["fig6", "--x", "64", "--algo", "WRHT", "--mode", "simulated"],
+             run_fig6, {"mode": "simulated", "nodes": (64,)}, 3, "optical"),
+            (["fig5", "--x", "16", "--algo", "H-Ring", "--nodes", "64",
+              "--mode", "simulated"],
+             run_fig5, {"mode": "simulated", "n_nodes": 64,
+                        "wavelengths": (16,)}, 1, "optical"),
+            # Electrical: fig7's E-Ring is on the fat-tree in every mode.
+            (["fig7", "--x", "128", "--algo", "E-Ring", "--mode", "analytical"],
+             run_fig7, {"mode": "analytical", "nodes": (128,)}, 0, "electrical"),
+            # Analytic: covers the ReconfigModel(t_tune=0) the runner passes.
+            (["fig4", "--x", "17", "--mode", "analytical"],
+             run_fig4, {"mode": "analytical", "group_sizes": (17,)}, 0,
+             "analytic"),
+        ],
+    )
+    def test_obs_cell_matches_figure_cell(
+        self, argv, runner, kwargs, index, backend, captured_runs, capsys
+    ):
+        assert obs_main([*argv, "--workload", "ResNet50", "--no-metrics"]) == 0
+        (obs_result,) = captured_runs
+        captured_runs.clear()
+        runner(workloads=(workload_by_name("ResNet50"),), **kwargs)
+        fig_result = captured_runs[index]
+        assert obs_result.backend == backend
+        assert _bits(obs_result) == _bits(fig_result)

@@ -98,3 +98,25 @@ class TestBackendFlag:
         path = str(tmp_path / "OUT.md")
         assert main(["report", "--output", path, "--backend", "analytic"]) == 0
         assert "Backend override: analytic." in open(path).read()
+
+
+class TestReportFlags:
+    """``report`` accepts only the flags it forwards to ``write_report``."""
+
+    @pytest.mark.parametrize("flag", [["--t-tune", "1e-5"], ["--no-overlap"]])
+    def test_unhonoured_flag_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--output", "unused.md", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_honoured_flags_parse(self):
+        args = build_parser().parse_args([
+            "report", "--mode", "simulated", "--interpretation", "strict",
+            "--backend", "analytic", "--output", "R.md",
+        ])
+        assert (args.mode, args.interpretation, args.backend, args.output) == (
+            "simulated", "strict", "analytic", "R.md"
+        )
+        assert not hasattr(args, "t_tune")
+
