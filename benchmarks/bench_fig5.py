@@ -7,9 +7,9 @@ WRHT vs Ring 13.74%, vs H-Ring 9.29%, vs BT 75%.
 """
 
 from benchmarks.conftest import print_experiment
-from repro.runner.experiments import run_fig5
+from repro.runner.experiments import FIGURES, run_fig5
 
-PAPER = [("Ring", "WRHT", 13.74), ("H-Ring", "WRHT", 9.29), ("BT", "WRHT", 75.0)]
+PAPER = FIGURES["fig5"].reductions
 
 
 def test_fig5_analytical(once):

@@ -7,9 +7,9 @@ WRHT vs Ring 65.23%, vs H-Ring 43.81%, vs BT 82.22%.
 """
 
 from benchmarks.conftest import print_experiment
-from repro.runner.experiments import run_fig6
+from repro.runner.experiments import FIGURES, run_fig6
 
-PAPER = [("Ring", "WRHT", 65.23), ("H-Ring", "WRHT", 43.81), ("BT", "WRHT", 82.22)]
+PAPER = FIGURES["fig6"].reductions
 
 
 def test_fig6_analytical(once):

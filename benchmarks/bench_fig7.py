@@ -7,13 +7,9 @@ average), WRHT lowest (−61.23% vs E-Ring, −55.51% vs RD).
 """
 
 from benchmarks.conftest import print_experiment
-from repro.runner.experiments import run_fig7
+from repro.runner.experiments import FIGURES, run_fig7
 
-PAPER = [
-    ("E-Ring", "O-Ring", 48.74),
-    ("E-Ring", "WRHT", 61.23),
-    ("RD", "WRHT", 55.51),
-]
+PAPER = FIGURES["fig7"].reductions
 
 
 def test_fig7(once):

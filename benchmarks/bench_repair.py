@@ -32,10 +32,9 @@ from repro.optical.repair import (
     RwaContext,
     capture_solution,
     repair_rounds,
-    route_masks,
     validate_rounds,
 )
-from repro.optical.rwa import plan_rounds
+from repro.optical.rwa import plan_rounds, route_masks
 from repro.util.tables import AsciiTable
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_repair.json"

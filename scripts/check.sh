@@ -61,13 +61,15 @@ python - <<'PY'
 from repro.backend.analytic import AnalyticBackend
 from repro.collectives import build_schedule, verify_allreduce
 from repro.collectives.registry import available_algorithms
-from repro.core.timing import CostModel
+from repro.optical.config import OpticalSystemConfig
 
 # Build, numerically verify, and (where a closed form exists) lower every
 # registered algorithm at a power of two, a non-power-of-two, and the
 # paper's mid-size N. DBTree has no closed-form model by design, so it is
-# verified numerically but not priced analytically.
-backend = AnalyticBackend(CostModel(line_rate=40e9 / 8, step_overhead=25e-6), w=8)
+# verified numerically but not priced analytically. The cost model comes
+# from the system config, like every figure cell's.
+config = OpticalSystemConfig(n_nodes=64, n_wavelengths=8)
+backend = AnalyticBackend(config.cost_model(), w=config.n_wavelengths)
 for algo in available_algorithms():
     for n in (8, 15, 64):
         kwargs = {"n_wavelengths": 8} if algo == "wrht" else {}
@@ -92,17 +94,16 @@ from repro.check.context import optical_context
 from repro.check.engine import verify_plan
 from repro.check.findings import errors
 from repro.collectives import build_schedule
-from repro.core.timing import CostModel
 from repro.electrical.config import ElectricalSystemConfig
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.reconfig import ReconfigModel
 
 T_TUNE = 25e-6
-model = CostModel(line_rate=40e9 / 8, step_overhead=25e-6)
 
 # Optical: lower one overlapped cell through the reconfigure-vs-hold
 # estimator and verify the chosen plan against PLAN000-PLAN008.
 cfg = OpticalSystemConfig(n_nodes=8, n_wavelengths=32, t_tune=T_TUNE)
+model = cfg.cost_model()
 for algo, elems in (("swing", 4096), ("rd", 1_000_000)):
     schedule = build_schedule(algo, 8, elems)
     backend = OpticalBackend(cfg)

@@ -251,20 +251,15 @@ class Backend(abc.ABC):
         schedule: Schedule,
         *,
         bytes_per_elem: float = 4.0,
-        check: bool = False,
     ) -> ExecutionResult:
         """Lower then execute ``schedule`` (the common one-shot path).
 
         Args:
             schedule: The schedule to price.
             bytes_per_elem: Element width used by the pricing.
-            check: Statically verify the lowered plan (:meth:`verify`)
-                before executing it.
         """
         with self.metrics.span(f"backend.{self.name}.lower"):
             plan = self.lower(schedule, bytes_per_elem=bytes_per_elem)
-        if check:
-            self.verify(plan, schedule)
         with self.metrics.span(f"backend.{self.name}.execute"):
             result = self.execute(plan)
         if self.metrics.enabled:

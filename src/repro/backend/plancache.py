@@ -94,7 +94,7 @@ class CachedRound:
         claims: MRR endpoint claims ``(node, direction, fiber, wavelength)``
             of the round's circuits, sorted — captured only when the
             network's reconfiguration model is enabled (empty otherwise, so
-            legacy summaries and on-disk cache entries compare equal).
+            tuning-free summaries compare equal).
         tune_s: Exposed (non-overlapped) MRR tuning seconds charged before
             this round. Written by the reconfiguration pass
             (:func:`repro.optical.reconfig.apply_reconfig`); 0.0 keeps the

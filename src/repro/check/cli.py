@@ -3,8 +3,8 @@
 Two subcommands:
 
 ``check``
-    Build every golden plan of one figure's grid (the same algorithm ×
-    size × wavelength cells the experiment runners price), lower each on
+    Build every golden plan of one figure's grid (the distinct cells of
+    its :data:`repro.runner.experiments.FIGURES` record), lower each on
     the chosen backend, and run the full applicable rule catalog. On the
     optical backend the context includes statically re-derived circuit
     rounds, so the wavelength-conflict and port-budget rules run too.
@@ -42,50 +42,24 @@ from repro.check.findings import Finding, errors
 
 
 def golden_cells(fig: str) -> list[dict]:
-    """The (algorithm, N, w) grid one figure prices, as cell dicts.
-
-    Mirrors the cell enumeration in :mod:`repro.runner.experiments`
-    (Fig 7's E-Ring column prices the Ring schedule on the electrical
-    substrate, so it only appears for ``--backend electrical``).
+    """The distinct (base algorithm, N, w, WRHT m) cells one figure prices
+    at the paper defaults, in grid order, read from
+    :data:`repro.runner.experiments.FIGURES`. Fig 7's E-Ring and O-Ring
+    share one Ring cell: the schedule is the same, only the backend differs.
     """
-    from repro.core.wavelengths import optimal_group_size
-    from repro.runner.experiments import (
-        DEFAULT_WAVELENGTHS,
-        FIG4_GROUP_SIZES,
-        FIG5_WAVELENGTHS,
-        FIG6_NODES,
-        FIG7_NODES,
-        HRING_M,
-    )
+    from repro.runner.experiments import FIGURES
 
-    n0, w0 = 1024, DEFAULT_WAVELENGTHS
-    if fig == "fig4":
-        return [
-            {"algo": "WRHT", "n": n0, "w": w0, "wrht_m": m, "hring_m": HRING_M}
-            for m in FIG4_GROUP_SIZES
-        ]
-    if fig == "fig5":
-        return [
-            {
-                "algo": algo, "n": n0, "w": w,
-                "wrht_m": min(optimal_group_size(w), n0), "hring_m": HRING_M,
-            }
-            for algo in ("Ring", "H-Ring", "BT", "WRHT")
-            for w in FIG5_WAVELENGTHS
-        ]
-    if fig == "fig6":
-        return [
-            {"algo": algo, "n": n, "w": w0, "wrht_m": None, "hring_m": HRING_M}
-            for algo in ("Ring", "H-Ring", "BT", "WRHT")
-            for n in FIG6_NODES
-        ]
-    if fig == "fig7":
-        return [
-            {"algo": algo, "n": n, "w": w0, "wrht_m": None, "hring_m": HRING_M}
-            for algo in ("Ring", "RD", "WRHT")
-            for n in FIG7_NODES
-        ]
-    raise ValueError(f"unknown figure {fig!r}; expected fig4..fig7")
+    if fig not in FIGURES:
+        raise ValueError(f"unknown figure {fig!r}; expected fig4..fig7")
+    figure = FIGURES[fig]
+    cells: list[dict] = []
+    for algo in figure.algos.values():
+        for x in figure.x_values:
+            n, w, wrht_m = figure.cell(x)
+            cell = {"algo": algo, "n": n, "w": w, "wrht_m": wrht_m}
+            if cell not in cells:
+                cells.append(cell)
+    return cells
 
 
 def _verify_cell(cell: dict, backend_name: str, interpretation: str) -> list[Finding]:
@@ -103,8 +77,7 @@ def _verify_cell(cell: dict, backend_name: str, interpretation: str) -> list[Fin
 
     backend = get_backend(backend_name, cell["n"], cell["w"], interpretation)
     schedule = _build_cell_schedule(
-        cell["algo"], cell["n"], cell["w"], _Elems(cell["n"]),
-        wrht_m=cell["wrht_m"], hring_m=cell["hring_m"],
+        cell["algo"], cell["n"], cell["w"], _Elems(cell["n"]), cell["wrht_m"]
     )
     if backend_name == "optical":
         context = optical_context(backend, schedule)
@@ -115,7 +88,9 @@ def _verify_cell(cell: dict, backend_name: str, interpretation: str) -> list[Fin
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Verify every golden plan of the selected figure(s)."""
-    figs = [args.fig] if args.fig else ["fig4", "fig5", "fig6", "fig7"]
+    from repro.runner.experiments import FIGURES
+
+    figs = [args.fig] if args.fig else list(FIGURES)
     n_cells = 0
     bad: list[Finding] = []
     for fig in figs:

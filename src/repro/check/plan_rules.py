@@ -615,7 +615,7 @@ def rule_reconfig_tuning(ctx: CheckContext) -> Iterator[Finding]:
                     required = max(blocked, max(0.0, free - prev_payload))
                 else:
                     required = max(blocked, free)
-                recorded = getattr(rnd, "tune_s", 0.0)
+                recorded = rnd.tune_s
                 recorded_total += recorded * weight
                 if recorded + 1e-12 * max(1.0, required) < required:
                     if recorded < blocked:

@@ -118,7 +118,10 @@ def _profile(
     Chain representatives use each arc's steady-state hop (exact once every
     chain is active; early ramp steps of shorter arcs carry fewer
     transfers). Hub steps — chord delivery and multicast — are exact
-    patterns. Chunk sizes are uniform ``⌈total/N⌉``.
+    patterns. Chunk sizes are uniform ``⌈total/N⌉``; chunk ``c`` covers
+    ``[c·chunk, (c+1)·chunk)`` so the A writes each node receives in a
+    hub step never overlap (when N does not divide ``total`` the last
+    ranges run past it — the sizes, not the offsets, are what is priced).
     """
     longest = max(len(arc) for arc in arcs)
     chunk = min(math.ceil(total / n), total)
@@ -128,7 +131,10 @@ def _profile(
         """One transfer per (chunk, hop): offsets are relative to the owner."""
         return CommStep(
             tuple(
-                Transfer((c + src_off) % n, (c + dst_off) % n, 0, chunk, op)
+                Transfer(
+                    (c + src_off) % n, (c + dst_off) % n,
+                    c * chunk, (c + 1) * chunk, op,
+                )
                 for c in range(n)
                 for src_off, dst_off in hops
             ),

@@ -28,53 +28,9 @@ from repro.obs.manifest import build_run_manifest, write_run_manifest
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.tables import AsciiTable
 
-#: Default x value per figure (the first paper point, cheap to run).
+#: Default x per figure: Fig 5's is the paper's fixed wavelength count
+#: (its third point); the others are the first paper point. All are cheap.
 _FIGURE_DEFAULT_X = {"fig4": 17, "fig5": 64, "fig6": 1024, "fig7": 128}
-
-_FIGURE_X_LABEL = {
-    "fig4": "group size m",
-    "fig5": "wavelengths w",
-    "fig6": "nodes N",
-    "fig7": "nodes N",
-}
-
-_FIGURE_ALGOS = {
-    "fig4": ("WRHT",),
-    "fig5": ("Ring", "H-Ring", "BT", "WRHT"),
-    "fig6": ("Ring", "H-Ring", "BT", "WRHT"),
-    "fig7": ("E-Ring", "RD", "O-Ring", "WRHT"),
-}
-
-
-def _resolve_cell(args) -> tuple[str, int, int, int | None]:
-    """(base algorithm, n, w, wrht_m) for the requested figure cell."""
-    from repro.core.wavelengths import optimal_group_size
-    from repro.runner.experiments import _FIG7_BASE, DEFAULT_WAVELENGTHS
-
-    x = args.x if args.x is not None else _FIGURE_DEFAULT_X[args.figure]
-    n, w = args.nodes, args.wavelengths
-    if args.figure == "fig4":
-        algo, wrht_m = "WRHT", x
-        w = w if w is not None else DEFAULT_WAVELENGTHS
-    elif args.figure == "fig5":
-        algo, w = args.algo, x
-        wrht_m = min(optimal_group_size(w), n if n is not None else 1024)
-    else:
-        algo, n = args.algo, x
-        w = w if w is not None else DEFAULT_WAVELENGTHS
-        wrht_m = min(optimal_group_size(w), n)
-        if args.figure == "fig7":
-            algo = _FIG7_BASE[args.algo]
-    return algo, (n if n is not None else 1024), w, wrht_m
-
-
-def _backend_name(args) -> str:
-    """The effective backend, honoring fig7's electrical/optical split."""
-    from repro.runner.experiments import _fig7_backend, _resolve_backend
-
-    if args.figure == "fig7":
-        return _fig7_backend(args.algo, args.mode, args.backend)
-    return _resolve_backend(args.mode, args.backend)
 
 
 def _render_timeline(result) -> str:
@@ -129,6 +85,11 @@ def _render_metrics(snapshot) -> str:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the obs CLI parser (exposed for the docs/tests)."""
     from repro.backend import registry
+    from repro.runner.experiments import (
+        DEFAULT_NODES,
+        DEFAULT_WAVELENGTHS,
+        FIGURES,
+    )
 
     parser = argparse.ArgumentParser(
         prog="wrht-repro obs",
@@ -136,22 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
         "timing/utilization table, metrics summary, optional run manifest",
     )
     parser.add_argument(
-        "figure", choices=("fig4", "fig5", "fig6", "fig7"),
+        "figure", choices=tuple(FIGURES),
         help="which figure's cell shape to run",
     )
     parser.add_argument(
         "--x", type=int, default=None,
         help="the figure's x value (fig4: m, fig5: w, fig6/fig7: N); "
-        "default: the first paper point",
+        "default: " + ", ".join(f"{f} {x}" for f, x in _FIGURE_DEFAULT_X.items()),
     )
     parser.add_argument(
         "--algo", default="WRHT",
         help="algorithm display name (figure-dependent; default WRHT)",
     )
     parser.add_argument("--workload", default="ResNet50")
-    parser.add_argument("--nodes", type=int, default=None,
+    parser.add_argument("--nodes", type=int, default=DEFAULT_NODES,
                         help="override N for fig4/fig5 (default 1024)")
-    parser.add_argument("--wavelengths", type=int, default=None,
+    parser.add_argument("--wavelengths", type=int, default=DEFAULT_WAVELENGTHS,
                         help="override w where it is not the x axis")
     parser.add_argument(
         "--mode", choices=("analytical", "simulated"), default="simulated",
@@ -181,34 +142,36 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     from repro.dnn.workload import workload_by_name
     from repro.runner.experiments import (
-        HRING_M,
+        FIGURES,
         _build_cell_schedule,
         build_backend,
     )
 
     args = build_parser().parse_args(argv)
-    if args.algo not in _FIGURE_ALGOS[args.figure]:
+    figure = FIGURES[args.figure]
+    if args.algo not in figure.algos:
         print(
             f"error: {args.figure} has no algorithm {args.algo!r} "
-            f"(choose from {', '.join(_FIGURE_ALGOS[args.figure])})",
+            f"(choose from {', '.join(figure.algos)})",
             file=sys.stderr,
         )
         return 2
     workload = workload_by_name(args.workload)
-    algo, n, w, wrht_m = _resolve_cell(args)
+    x = args.x if args.x is not None else _FIGURE_DEFAULT_X[args.figure]
+    n, w, wrht_m = figure.cell(x, args.nodes, args.wavelengths)
     metrics = NULL_METRICS if args.no_metrics else MetricsRegistry()
     backend, config = build_backend(
-        _backend_name(args), n, w, args.interpretation, metrics=metrics
+        figure.backend(args.algo, args.mode, args.backend), n, w,
+        args.interpretation, metrics=metrics,
     )
     schedule = _build_cell_schedule(
-        algo, n, w, workload, wrht_m=wrht_m, hring_m=HRING_M
+        figure.algos[args.algo], n, w, workload, wrht_m
     )
     result = backend.run(schedule, bytes_per_elem=workload.bytes_per_param)
 
-    x = args.x if args.x is not None else _FIGURE_DEFAULT_X[args.figure]
     print(
         f"{args.figure} cell: {args.algo} on {workload.name}, "
-        f"{_FIGURE_X_LABEL[args.figure]}={x} "
+        f"{figure.x_label}={x} "
         f"(N={n}, w={w}, backend={result.backend}, mode={args.mode})"
     )
     print(

@@ -713,12 +713,10 @@ class OpticalRingNetwork:
             peak = max(peak, rnd.peak_wavelength)
             step_bytes += rnd.payload_bytes
             # Exposed MRR tuning (repro.optical.reconfig) precedes the
-            # round's reconfiguration window. getattr: summaries unpickled
-            # from a pre-reconfig on-disk store lack the field. The branch
-            # (not `+= 0.0`) keeps the tuning-free fold bit-identical.
-            tune = getattr(rnd, "tune_s", 0.0)
-            if tune:
-                duration += tune
+            # round's reconfiguration window. The branch (not `+= 0.0`)
+            # keeps the tuning-free fold bit-identical.
+            if rnd.tune_s:
+                duration += rnd.tune_s
             duration += self.config.mrr_reconfig_delay + rnd.max_payload_s
             if emit_rounds:
                 self.tracer.emit(

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.optical.rwa import plan_rounds, route_masks
 from repro.optical.topology import Direction, Route
 from repro.sim.rng import SeededRng
 
@@ -100,17 +101,6 @@ class RwaSolution:
     masks: list[int]
     rounds: list[dict[int, tuple[int, int]]]
     ctx: RwaContext = field(default_factory=lambda: RwaContext(1, 1))
-
-
-def route_masks(routes: Sequence[Route]) -> list[int]:
-    """Segment-set bitmask per route (bit ``s`` set iff segment crossed)."""
-    masks = []
-    for route in routes:
-        mask = 0
-        for seg in route.segments:
-            mask |= 1 << seg
-        masks.append(mask)
-    return masks
 
 
 def capture_solution(
@@ -320,8 +310,6 @@ def repair_rounds(
         Rounds in ``plan_rounds`` format, covering every index exactly
         once and valid under ``new_ctx``.
     """
-    from repro.optical.rwa import plan_rounds
-
     n = len(new_routes)
     if n != len(solution.routes):
         raise ValueError(

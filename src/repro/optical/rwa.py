@@ -31,11 +31,10 @@ Incremental repair
 
 A fault delta (dead wavelength, port fault, quarantine growth) rarely
 invalidates more than a handful of a step's assignments. Instead of
-re-solving from scratch, :func:`repair_rounds` (implemented in
-:mod:`repro.optical.repair`, re-exported here) recolors only the
-conflict-affected subgraph with the untouched assignments pinned — see the
-repair module for the cascade/fallback semantics and the paranoid
-cross-check oracle.
+re-solving from scratch, :func:`repro.optical.repair.repair_rounds`
+recolors only the conflict-affected subgraph with the untouched
+assignments pinned — see the repair module for the cascade/fallback
+semantics and the paranoid cross-check oracle.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class RwaInfeasibleError(BackendError):
         )
 
 
-def _route_masks(routes: list[Route]) -> list[int]:
+def route_masks(routes: Sequence[Route]) -> list[int]:
     """Segment-set bitmask per route (bit ``s`` set iff segment crossed)."""
     masks = []
     for route in routes:
@@ -160,7 +159,7 @@ def dsatur_assign(
     ``(saturation, degree, -index)`` is a total order).
 
     Args:
-        masks: Precomputed :func:`_route_masks` output, to avoid recomputing
+        masks: Precomputed :func:`route_masks` output, to avoid recomputing
             when the caller (``plan_rounds``) already has them.
         route_blocked: Optional per-route wavelength bans (same length as
             ``routes``); fault injection uses these for dead MRR endpoint
@@ -182,7 +181,7 @@ def dsatur_assign(
     if n == 0:
         return AssignmentResult()
     if masks is None:
-        masks = _route_masks(routes)
+        masks = route_masks(routes)
 
     allowed = [
         (f, lam)
@@ -298,7 +297,6 @@ def plan_rounds(
     fibers_per_direction: int = 1,
     strategy: str = "first_fit",
     rng: SeededRng | None = None,
-    dsatur_fallback: bool = True,
     blocked: frozenset[int] = frozenset(),
     route_blocked: Sequence[frozenset[int]] | None = None,
     preoccupied: Mapping[tuple[Direction, int], int] | None = None,
@@ -308,8 +306,8 @@ def plan_rounds(
 
     Each returned dict maps the *original* route index to its (fiber,
     wavelength). The first round tries the configured strategy and, when it
-    spills and ``dsatur_fallback`` is set, retries with
-    :func:`dsatur_assign` before paying an extra reconfiguration round.
+    spills, retries with :func:`dsatur_assign` before paying an extra
+    reconfiguration round.
     Used by both the step-timing executor and the live event-driven
     simulation so their round structure is identical by construction.
 
@@ -337,7 +335,7 @@ def plan_rounds(
             f"for {len(routes)} routes"
         )
     with metrics.span("rwa.mask_build"):
-        masks = _route_masks(routes)
+        masks = route_masks(routes)
     channels = _allowed_channels(n_wavelengths, fibers_per_direction, blocked)
     remaining = list(range(len(routes)))
     rounds: list[dict[int, tuple[int, int]]] = []
@@ -354,7 +352,7 @@ def plan_rounds(
             subset, subset_masks, n_wavelengths, channels, strategy, rng,
             route_blocked=subset_blocked, preoccupied=preoccupied,
         )
-        if first and assignment.unassigned and dsatur_fallback:
+        if first and assignment.unassigned:
             metrics.inc("rwa.dsatur_fallback")
             structured = dsatur_assign(
                 subset, n_segments, n_wavelengths, fibers_per_direction,
@@ -459,19 +457,6 @@ def _assign_with_masks(
     return result
 
 
-def repair_rounds(*args, **kwargs):
-    """Incrementally repair a cached solution against a constraint delta.
-
-    Thin dispatcher to :func:`repro.optical.repair.repair_rounds` (imported
-    lazily to keep the module graph acyclic — the repair module calls back
-    into :func:`plan_rounds` for its fallback and paranoid oracle). See that
-    module for the full contract.
-    """
-    from repro.optical.repair import repair_rounds as _repair_rounds
-
-    return _repair_rounds(*args, **kwargs)
-
-
 def assign_wavelengths(
     routes: list[Route],
     n_segments: int,
@@ -509,7 +494,7 @@ def assign_wavelengths(
         )
     return _assign_with_masks(
         routes,
-        _route_masks(routes),
+        route_masks(routes),
         n_wavelengths,
         _allowed_channels(n_wavelengths, fibers_per_direction, blocked),
         strategy,

@@ -66,14 +66,17 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _figure(runner, args, reductions: list[tuple[str, str]]) -> int:
+def _figure(runner, args) -> int:
+    """Render one figure plus its paper reduction pairs' measured values."""
+    from repro.runner.experiments import FIGURES
+
     result = runner(
         mode=args.mode, interpretation=args.interpretation,
         backend=args.backend, t_tune=args.t_tune, overlap=args.overlap,
     )
     print(result.render())
     summary = AsciiTable(["comparison", "avg reduction (%)"])
-    for baseline, target in reductions:
+    for baseline, target, _paper in FIGURES[result.name].reductions:
         summary.add_row([f"{target} vs {baseline}", result.reduction_vs(baseline, target)])
     print()
     print(summary.render())
@@ -100,28 +103,19 @@ def _cmd_fig4(args) -> int:
 def _cmd_fig5(args) -> int:
     from repro.runner.experiments import run_fig5
 
-    return _figure(
-        run_fig5, args,
-        [("Ring", "WRHT"), ("H-Ring", "WRHT"), ("BT", "WRHT")],
-    )
+    return _figure(run_fig5, args)
 
 
 def _cmd_fig6(args) -> int:
     from repro.runner.experiments import run_fig6
 
-    return _figure(
-        run_fig6, args,
-        [("Ring", "WRHT"), ("H-Ring", "WRHT"), ("BT", "WRHT")],
-    )
+    return _figure(run_fig6, args)
 
 
 def _cmd_fig7(args) -> int:
     from repro.runner.experiments import run_fig7
 
-    return _figure(
-        run_fig7, args,
-        [("E-Ring", "O-Ring"), ("E-Ring", "WRHT"), ("RD", "WRHT")],
-    )
+    return _figure(run_fig7, args)
 
 
 def _cmd_plan(args) -> int:

@@ -13,11 +13,18 @@ The two modes agree to float precision for the full-vector algorithms and
 within the profile chunk-rounding for the ring-based ones — asserted in the
 test suite, so "analytical" is a trustworthy fast path for the full
 paper-scale sweeps.
+
+Each figure is defined once, in :data:`FIGURES`: its swept axis and paper
+x values, its algorithm line-up, the Fig 7 electrical/optical split, the
+normalization reference and the paper's average reductions. The grid
+runner, ``wrht-repro obs``, the ``check`` golden plans, the CLI summaries
+and the report all read that table.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 from repro.backend import registry
 from repro.backend.base import Backend
@@ -32,13 +39,93 @@ from repro.runner.sweep import sweep
 
 MODES = ("analytical", "simulated")
 
-# Paper defaults.
-FIG4_GROUP_SIZES = (17, 33, 65, 129)
-FIG5_WAVELENGTHS = (4, 16, 64, 256)
-FIG6_NODES = (1024, 2048, 3072, 4096)
-FIG7_NODES = (128, 256, 512, 1024)
-HRING_M = 5
+# Paper defaults for the axes a figure does not sweep.
+DEFAULT_NODES = 1024
 DEFAULT_WAVELENGTHS = 64
+HRING_M = 5
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One evaluation figure: an algorithm line-up over one swept axis.
+
+    Attributes:
+        x_label: The swept axis as result tables label it.
+        axis: The cell parameter ``x`` sets: ``"m"`` (WRHT group size),
+            ``"w"`` (wavelengths) or ``"N"`` (nodes).
+        x_values: The paper's x values.
+        algos: Display name -> base algorithm, in line-up order.
+        reference: Normalization cell ``(workload, display name, x index)``;
+            workload ``None`` normalizes each workload on its own.
+        reductions: The paper's ``(baseline, target, reported %)`` average
+            reductions.
+        electrical: Display names priced on the electrical fat-tree unless
+            an explicit ``backend`` forces every cell through one backend.
+    """
+
+    x_label: str
+    axis: str
+    x_values: tuple[int, ...]
+    algos: dict[str, str]
+    reference: tuple[str | None, str, int]
+    reductions: tuple[tuple[str, str, float], ...] = ()
+    electrical: frozenset[str] = frozenset()
+
+    def cell(
+        self, x: int, n_nodes: int = DEFAULT_NODES,
+        n_wavelengths: int = DEFAULT_WAVELENGTHS,
+    ) -> tuple[int, int, int | None]:
+        """``(N, w, WRHT m)`` of the cell at ``x``; the arguments fill the
+        axes the figure does not sweep. ``m=None`` leaves WRHT's group size
+        to its builder; Fig 5 pins Lemma 1's ``min(2w+1, N)``."""
+        if self.axis == "m":
+            return n_nodes, n_wavelengths, x
+        if self.axis == "w":
+            return n_nodes, x, min(optimal_group_size(x), n_nodes)
+        return x, n_wavelengths, None
+
+    def backend(self, algo: str, mode: str, backend: str | None) -> str:
+        """The backend that prices display name ``algo``."""
+        if backend is None and algo in self.electrical:
+            return "electrical"
+        return _resolve_backend(mode, backend)
+
+
+_OPTICAL_LINEUP = {"Ring": "Ring", "H-Ring": "H-Ring", "BT": "BT", "WRHT": "WRHT"}
+
+#: Figs 4–7 (Sec 5.3–5.6), the one definition every consumer reads.
+FIGURES = {
+    "fig4": Figure(
+        "grouped nodes (m)", "m", (17, 33, 65, 129), {"WRHT": "WRHT"},
+        reference=(None, "WRHT", -1),
+    ),
+    "fig5": Figure(
+        "wavelengths", "w", (4, 16, 64, 256), _OPTICAL_LINEUP,
+        reference=("ResNet50", "WRHT", -1),
+        reductions=(
+            ("Ring", "WRHT", 13.74), ("H-Ring", "WRHT", 9.29),
+            ("BT", "WRHT", 75.0),
+        ),
+    ),
+    "fig6": Figure(
+        "nodes", "N", (1024, 2048, 3072, 4096), _OPTICAL_LINEUP,
+        reference=("ResNet50", "WRHT", 0),
+        reductions=(
+            ("Ring", "WRHT", 65.23), ("H-Ring", "WRHT", 43.81),
+            ("BT", "WRHT", 82.22),
+        ),
+    ),
+    "fig7": Figure(
+        "nodes", "N", (128, 256, 512, 1024),
+        {"E-Ring": "Ring", "RD": "RD", "O-Ring": "Ring", "WRHT": "WRHT"},
+        reference=("ResNet50", "WRHT", 0),
+        reductions=(
+            ("E-Ring", "O-Ring", 48.74), ("E-Ring", "WRHT", 61.23),
+            ("RD", "WRHT", 55.51),
+        ),
+        electrical=frozenset({"E-Ring", "RD"}),
+    ),
+}
 
 
 def _check_mode(mode: str) -> None:
@@ -130,34 +217,15 @@ def get_backend(
     return be
 
 
-def _build_cell_schedule(algo: str, n: int, w: int, workload: DnnWorkload, *,
-                         wrht_m: int | None, hring_m: int):
+def _build_cell_schedule(algo: str, n: int, w: int, workload: DnnWorkload,
+                         wrht_m: int | None):
     """The schedule for one experiment cell (never materialized)."""
     kwargs: dict = {"materialize": False}
     if algo == "WRHT":
         kwargs.update(n_wavelengths=w, m=wrht_m)
     elif algo == "H-Ring":
-        kwargs.update(m=hring_m)
+        kwargs.update(m=HRING_M)
     return build_schedule(algo, n, workload.n_params, **kwargs)
-
-
-def _cell_time(
-    backend: str,
-    algo: str,
-    n: int,
-    w: int,
-    workload: DnnWorkload,
-    interpretation: str,
-    wrht_m: int | None = None,
-    t_tune: float = 0.0,
-    overlap: bool = True,
-) -> float:
-    """Seconds for one algorithm on the named backend."""
-    be = get_backend(backend, n, w, interpretation, t_tune, overlap)
-    schedule = _build_cell_schedule(
-        algo, n, w, workload, wrht_m=wrht_m, hring_m=HRING_M
-    )
-    return be.run(schedule, bytes_per_elem=workload.bytes_per_param).total_time
 
 
 def clear_network_caches() -> None:
@@ -170,81 +238,62 @@ def clear_network_caches() -> None:
     _BACKENDS.clear()
 
 
-# -- sweep cell functions ---------------------------------------------------
-# Module-level so they pickle into ProcessPoolExecutor workers; the run_figN
-# entry points bind the figure-constant knobs with functools.partial.
-
-
-def _fig4_cell(
-    workload: DnnWorkload, m: int, mode: str, interpretation: str,
-    n_nodes: int, n_wavelengths: int, backend: str | None = None,
-    t_tune: float = 0.0, overlap: bool = True,
+def _figure_cell(
+    workload: DnnWorkload, algo: str, x: int, *, figure: str, mode: str,
+    interpretation: str, n_nodes: int, n_wavelengths: int,
+    backend: str | None, t_tune: float, overlap: bool,
 ) -> float:
-    """One Fig 4 grid cell: WRHT at group size ``m`` on one workload."""
-    return _cell_time(
-        _resolve_backend(mode, backend), "WRHT", n_nodes, n_wavelengths,
-        workload, interpretation, wrht_m=m, t_tune=t_tune, overlap=overlap,
+    """Seconds for display name ``algo`` at ``x`` of ``figure`` on one
+    workload. Module-level so it pickles into sweep workers."""
+    fig = FIGURES[figure]
+    n, w, wrht_m = fig.cell(x, n_nodes, n_wavelengths)
+    be = get_backend(
+        fig.backend(algo, mode, backend), n, w, interpretation, t_tune, overlap
     )
+    schedule = _build_cell_schedule(fig.algos[algo], n, w, workload, wrht_m)
+    return be.run(schedule, bytes_per_elem=workload.bytes_per_param).total_time
 
 
-def _fig5_cell(
-    workload: DnnWorkload, algo: str, w: int, mode: str, interpretation: str,
-    n_nodes: int, backend: str | None = None,
-    t_tune: float = 0.0, overlap: bool = True,
-) -> float:
-    """One Fig 5 grid cell: ``algo`` under wavelength count ``w``."""
-    return _cell_time(
-        _resolve_backend(mode, backend), algo, n_nodes, w, workload,
-        interpretation, wrht_m=min(optimal_group_size(w), n_nodes),
-        t_tune=t_tune, overlap=overlap,
-    )
+def _run_figure(
+    figure: str, x_values: tuple[int, ...], *, mode: str,
+    interpretation: str, workloads: tuple[DnnWorkload, ...],
+    workers: int | None, n_nodes: int = DEFAULT_NODES,
+    n_wavelengths: int = DEFAULT_WAVELENGTHS, **knobs,
+) -> ExperimentResult:
+    """Price one figure's workload × line-up × x grid.
 
-
-def _fig6_cell(
-    workload: DnnWorkload, algo: str, n: int, mode: str, interpretation: str,
-    n_wavelengths: int, backend: str | None = None,
-    t_tune: float = 0.0, overlap: bool = True,
-) -> float:
-    """One Fig 6 grid cell: ``algo`` at cluster size ``n``."""
-    return _cell_time(
-        _resolve_backend(mode, backend), algo, n, n_wavelengths, workload,
-        interpretation, t_tune=t_tune, overlap=overlap,
-    )
-
-
-# Fig 7's display names map to base algorithms per substrate.
-_FIG7_BASE = {"E-Ring": "Ring", "O-Ring": "Ring", "RD": "RD", "WRHT": "WRHT"}
-
-
-def _fig7_backend(algo: str, mode: str, backend: str | None) -> str:
-    """Fig 7's split: E-Ring/RD on the fat-tree in every mode, unless an
-    explicit ``backend`` forces every flavor through one backend."""
-    if backend is None and algo in ("E-Ring", "RD"):
-        return "electrical"
-    return _resolve_backend(mode, backend)
-
-
-def _fig7_cell(
-    workload: DnnWorkload, algo: str, n: int, mode: str, interpretation: str,
-    n_wavelengths: int, backend: str | None = None,
-    t_tune: float = 0.0, overlap: bool = True,
-) -> float:
-    """One Fig 7 grid cell: electrical or optical flavor by algorithm.
-
-    An explicit ``backend`` forces every flavor through that backend
-    (useful for like-for-like ablations); the default keeps the paper's
-    split — E-Ring/RD on the fat-tree, O-Ring/WRHT on the optical ring.
-    The tuning tax only applies to the optical flavors: the fat-tree has
-    no MRRs, which is exactly the comparison Fig 7 makes.
+    ``knobs`` (``backend``, ``t_tune``, ``overlap``) pass through to every
+    cell. ``meta["reference"]`` names the figure's normalization cell:
+    ``(algo, x)`` when each workload is normalized on its own, else
+    ``(workload, algo, x)``.
     """
-    return _cell_time(
-        _fig7_backend(algo, mode, backend), _FIG7_BASE[algo], n, n_wavelengths,
-        workload, interpretation, t_tune=t_tune, overlap=overlap,
+    _check_mode(mode)
+    fig = FIGURES[figure]
+    cell = functools.partial(
+        _figure_cell, figure=figure, mode=mode, interpretation=interpretation,
+        n_nodes=n_nodes, n_wavelengths=n_wavelengths, **knobs,
     )
+    grid = sweep(
+        cell, {"workload": workloads, "algo": tuple(fig.algos), "x": x_values},
+        workers=workers,
+    )
+    result = ExperimentResult(
+        name=figure, mode=mode, interpretation=interpretation,
+        x_label=fig.x_label, x_values=list(x_values),
+        workloads=[wl.name for wl in workloads],
+    )
+    for wl in workloads:
+        for algo in fig.algos:
+            result.series[(wl.name, algo)] = [grid[(wl, algo, x)] for x in x_values]
+    ref_workload, ref_algo, at = fig.reference
+    ref = (ref_algo, x_values[at])
+    result.meta["reference"] = ref if ref_workload is None else (ref_workload, *ref)
+    return result
 
 
 def run_table1(
-    n_nodes: int = 1024, n_wavelengths: int = DEFAULT_WAVELENGTHS, hring_m: int = HRING_M
+    n_nodes: int = DEFAULT_NODES, n_wavelengths: int = DEFAULT_WAVELENGTHS,
+    hring_m: int = HRING_M,
 ) -> dict[str, int]:
     """Table 1: communication step counts at one configuration.
 
@@ -280,9 +329,9 @@ def run_table1(
 def run_fig4(
     mode: str = "analytical",
     interpretation: str = "calibrated",
-    n_nodes: int = 1024,
+    n_nodes: int = DEFAULT_NODES,
     n_wavelengths: int = DEFAULT_WAVELENGTHS,
-    group_sizes: tuple[int, ...] = FIG4_GROUP_SIZES,
+    group_sizes: tuple[int, ...] = FIGURES["fig4"].x_values,
     workloads: tuple[DnnWorkload, ...] = PAPER_WORKLOADS,
     workers: int | None = None,
     backend: str | None = None,
@@ -299,29 +348,19 @@ def run_fig4(
     ``t_tune``/``overlap`` enable the MRR reconfiguration model on the
     optical/analytic backends (disabled by default — bit-identical).
     """
-    _check_mode(mode)
-    result = ExperimentResult(
-        name="fig4", mode=mode, interpretation=interpretation,
-        x_label="grouped nodes (m)", x_values=list(group_sizes),
-        workloads=[wl.name for wl in workloads],
+    return _run_figure(
+        "fig4", group_sizes, mode=mode, interpretation=interpretation,
+        workloads=workloads, workers=workers, n_nodes=n_nodes,
+        n_wavelengths=n_wavelengths, backend=backend, t_tune=t_tune,
+        overlap=overlap,
     )
-    cell = functools.partial(
-        _fig4_cell, mode=mode, interpretation=interpretation,
-        n_nodes=n_nodes, n_wavelengths=n_wavelengths, backend=backend,
-        t_tune=t_tune, overlap=overlap,
-    )
-    grid = sweep(cell, {"workload": workloads, "m": group_sizes}, workers=workers)
-    for wl in workloads:
-        result.series[(wl.name, "WRHT")] = [grid[(wl, m)] for m in group_sizes]
-    result.meta["reference"] = ("WRHT", group_sizes[-1])
-    return result
 
 
 def run_fig5(
     mode: str = "analytical",
     interpretation: str = "calibrated",
-    n_nodes: int = 1024,
-    wavelengths: tuple[int, ...] = FIG5_WAVELENGTHS,
+    n_nodes: int = DEFAULT_NODES,
+    wavelengths: tuple[int, ...] = FIGURES["fig5"].x_values,
     workloads: tuple[DnnWorkload, ...] = PAPER_WORKLOADS,
     workers: int | None = None,
     backend: str | None = None,
@@ -336,34 +375,17 @@ def run_fig5(
     ``workers`` parallelizes the grid over a process pool.
     ``t_tune``/``overlap`` enable the MRR reconfiguration model.
     """
-    _check_mode(mode)
-    result = ExperimentResult(
-        name="fig5", mode=mode, interpretation=interpretation,
-        x_label="wavelengths", x_values=list(wavelengths),
-        workloads=[wl.name for wl in workloads],
-    )
-    algos = ("Ring", "H-Ring", "BT", "WRHT")
-    cell = functools.partial(
-        _fig5_cell, mode=mode, interpretation=interpretation, n_nodes=n_nodes,
+    return _run_figure(
+        "fig5", wavelengths, mode=mode, interpretation=interpretation,
+        workloads=workloads, workers=workers, n_nodes=n_nodes,
         backend=backend, t_tune=t_tune, overlap=overlap,
     )
-    grid = sweep(
-        cell, {"workload": workloads, "algo": algos, "w": wavelengths},
-        workers=workers,
-    )
-    for wl in workloads:
-        for algo in algos:
-            result.series[(wl.name, algo)] = [
-                grid[(wl, algo, w)] for w in wavelengths
-            ]
-    result.meta["reference"] = ("ResNet50", "WRHT", wavelengths[-1])
-    return result
 
 
 def run_fig6(
     mode: str = "analytical",
     interpretation: str = "calibrated",
-    nodes: tuple[int, ...] = FIG6_NODES,
+    nodes: tuple[int, ...] = FIGURES["fig6"].x_values,
     n_wavelengths: int = DEFAULT_WAVELENGTHS,
     workloads: tuple[DnnWorkload, ...] = PAPER_WORKLOADS,
     workers: int | None = None,
@@ -376,32 +398,17 @@ def run_fig6(
     ``workers`` parallelizes the grid over a process pool.
     ``t_tune``/``overlap`` enable the MRR reconfiguration model.
     """
-    _check_mode(mode)
-    result = ExperimentResult(
-        name="fig6", mode=mode, interpretation=interpretation,
-        x_label="nodes", x_values=list(nodes),
-        workloads=[wl.name for wl in workloads],
+    return _run_figure(
+        "fig6", nodes, mode=mode, interpretation=interpretation,
+        workloads=workloads, workers=workers, n_wavelengths=n_wavelengths,
+        backend=backend, t_tune=t_tune, overlap=overlap,
     )
-    algos = ("Ring", "H-Ring", "BT", "WRHT")
-    cell = functools.partial(
-        _fig6_cell, mode=mode, interpretation=interpretation,
-        n_wavelengths=n_wavelengths, backend=backend,
-        t_tune=t_tune, overlap=overlap,
-    )
-    grid = sweep(
-        cell, {"workload": workloads, "algo": algos, "n": nodes}, workers=workers
-    )
-    for wl in workloads:
-        for algo in algos:
-            result.series[(wl.name, algo)] = [grid[(wl, algo, n)] for n in nodes]
-    result.meta["reference"] = ("ResNet50", "WRHT", nodes[0])
-    return result
 
 
 def run_fig7(
     mode: str = "analytical",
     interpretation: str = "calibrated",
-    nodes: tuple[int, ...] = FIG7_NODES,
+    nodes: tuple[int, ...] = FIGURES["fig7"].x_values,
     n_wavelengths: int = DEFAULT_WAVELENGTHS,
     workloads: tuple[DnnWorkload, ...] = PAPER_WORKLOADS,
     workers: int | None = None,
@@ -412,27 +419,14 @@ def run_fig7(
     """Fig 7: electrical fat-tree (E-Ring, RD) vs optical ring (O-Ring, WRHT).
 
     The electrical side is always the fluid simulation; ``mode`` selects how
-    the optical side is priced. ``workers`` parallelizes the grid over a
-    process pool. ``t_tune``/``overlap`` enable the MRR reconfiguration
-    model on the optical flavors (the fat-tree pays no tuning).
+    the optical side is priced. An explicit ``backend`` forces every flavor
+    through that backend (like-for-like ablations). ``workers``
+    parallelizes the grid over a process pool. ``t_tune``/``overlap``
+    enable the MRR reconfiguration model on the optical flavors (the
+    fat-tree has no MRRs, which is exactly the comparison Fig 7 makes).
     """
-    _check_mode(mode)
-    result = ExperimentResult(
-        name="fig7", mode=mode, interpretation=interpretation,
-        x_label="nodes", x_values=list(nodes),
-        workloads=[wl.name for wl in workloads],
+    return _run_figure(
+        "fig7", nodes, mode=mode, interpretation=interpretation,
+        workloads=workloads, workers=workers, n_wavelengths=n_wavelengths,
+        backend=backend, t_tune=t_tune, overlap=overlap,
     )
-    algos = ("E-Ring", "RD", "O-Ring", "WRHT")
-    cell = functools.partial(
-        _fig7_cell, mode=mode, interpretation=interpretation,
-        n_wavelengths=n_wavelengths, backend=backend,
-        t_tune=t_tune, overlap=overlap,
-    )
-    grid = sweep(
-        cell, {"workload": workloads, "algo": algos, "n": nodes}, workers=workers
-    )
-    for wl in workloads:
-        for algo in algos:
-            result.series[(wl.name, algo)] = [grid[(wl, algo, n)] for n in nodes]
-    result.meta["reference"] = ("ResNet50", "WRHT", nodes[0])
-    return result

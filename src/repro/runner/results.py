@@ -12,18 +12,15 @@ import io
 import json
 import os
 
-from repro.runner.experiments import run_fig4, run_fig5, run_fig6, run_fig7, run_table1
+from repro.runner.experiments import (
+    FIGURES,
+    run_fig4,
+    run_fig5,
+    run_fig6,
+    run_fig7,
+    run_table1,
+)
 from repro.runner.report import ExperimentResult
-
-PAPER_REDUCTIONS = {
-    "fig5": [("Ring", "WRHT", 13.74), ("H-Ring", "WRHT", 9.29), ("BT", "WRHT", 75.0)],
-    "fig6": [("Ring", "WRHT", 65.23), ("H-Ring", "WRHT", 43.81), ("BT", "WRHT", 82.22)],
-    "fig7": [
-        ("E-Ring", "O-Ring", 48.74),
-        ("E-Ring", "WRHT", 61.23),
-        ("RD", "WRHT", 55.51),
-    ],
-}
 
 PAPER_TABLE1 = {"Ring": 2046, "H-Ring": 417, "BT": 20, "WRHT": 3}
 
@@ -50,7 +47,7 @@ def _experiment_section(result: ExperimentResult, buf: io.StringIO) -> None:
             )
         )
         buf.write("\n\n")
-    reductions = PAPER_REDUCTIONS.get(result.name)
+    reductions = FIGURES[result.name].reductions
     if reductions:
         rows = [
             [f"{target} vs {baseline}", result.reduction_vs(baseline, target), paper]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check.cli import build_parser, golden_cells, main
+from repro.runner.experiments import FIGURES
 
 
 class TestGoldenCells:
@@ -14,6 +15,33 @@ class TestGoldenCells:
                 assert cell["algo"]
                 assert cell["n"] >= 2
                 assert cell["w"] >= 1
+
+    def test_cells_are_the_figure_tables_distinct_cells(self):
+        # Fig 5 pins WRHT's m to Lemma 1 (2w+1); Figs 6/7 leave it to the
+        # builder; Fig 7's E-Ring and O-Ring share one Ring cell.
+        lineup = ("Ring", "H-Ring", "BT", "WRHT")
+        expected = {
+            "fig4": [("WRHT", 1024, 64, m) for m in (17, 33, 65, 129)],
+            "fig5": [(a, 1024, w, 2 * w + 1) for a in lineup
+                     for w in (4, 16, 64, 256)],
+            "fig6": [(a, n, 64, None) for a in lineup
+                     for n in (1024, 2048, 3072, 4096)],
+            "fig7": [(a, n, 64, None) for a in ("Ring", "RD", "WRHT")
+                     for n in (128, 256, 512, 1024)],
+        }
+        assert list(FIGURES) == list(expected)
+        for fig, figure in FIGURES.items():
+            from_table = []
+            for algo in figure.algos.values():
+                for x in figure.x_values:
+                    cell = (algo, *figure.cell(x))
+                    if cell not in from_table:
+                        from_table.append(cell)
+            got = [
+                (c["algo"], c["n"], c["w"], c["wrht_m"]) for c in golden_cells(fig)
+            ]
+            assert got == from_table == expected[fig], fig
+        assert sum(len(cells) for cells in expected.values()) == 48
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError, match="unknown figure"):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.check.engine import verify_plan
+from repro.check.findings import errors
 from repro.collectives.degraded import build_shrunk_schedule
 from repro.collectives.registry import build_schedule
 from repro.collectives.scring import build_scring_schedule, scring_arcs
@@ -70,6 +72,14 @@ class TestSchedule:
         for n, pipeline in ((256, 1), (1024, 8)):
             sched = build_scring_schedule(n, n * 10, materialize=False, pipeline=pipeline)
             assert sched.n_steps == scring_steps(n, pipeline)
+
+    @pytest.mark.parametrize("pipeline", [1, 4])
+    @pytest.mark.parametrize("n", [16, 64, 100])
+    def test_synthetic_profile_passes_plan_rules(self, n, pipeline):
+        # Each chunk owns its own element range, so the A hub writes a
+        # node receives per step are not order-dependent (PLAN006).
+        sched = build_scring_schedule(n, 100_000, materialize=False, pipeline=pipeline)
+        assert not errors(verify_plan(None, sched))
 
     def test_registry_spellings(self):
         assert build_schedule("scring", 8, 16).algorithm == "scring"

@@ -21,7 +21,7 @@ class TestObsCli:
         assert obs_main(CELL) == 0
         out = capsys.readouterr().out
         assert "fig5 cell: WRHT on AlexNet" in out
-        assert "wavelengths w=8" in out
+        assert "wavelengths=8" in out
         assert "stage" in out and "time %" in out  # timing table header
         assert "counters:" in out
         assert "rwa.rounds" in out
@@ -90,27 +90,50 @@ def captured_runs(monkeypatch):
     return runs
 
 
+_FIG5 = {"mode": "simulated", "n_nodes": 64, "wavelengths": (16,)}
+_FIG6 = {"mode": "simulated", "nodes": (64,)}
+_FIG7 = {"mode": "analytical", "nodes": (128,)}
+
+
 class TestSingleConstructionPath:
     """An obs cell is bit-identical to the figure runner's grid cell: both
-    build their backend through ``experiments.build_backend``."""
+    read the figure table and build their backend through
+    ``experiments.build_backend``. Every figure's full line-up is covered
+    at one x; ``index`` is the display name's place in the line-up."""
 
     @pytest.mark.parametrize(
         ("argv", "runner", "kwargs", "index", "backend"),
         [
-            # Optical: fig6 WRHT (runner leaves m to build_schedule, obs pins it).
+            # Optical: fig6 WRHT (runner leaves m to build_schedule).
             (["fig6", "--x", "64", "--algo", "WRHT", "--mode", "simulated"],
-             run_fig6, {"mode": "simulated", "nodes": (64,)}, 3, "optical"),
+             run_fig6, _FIG6, 3, "optical"),
             (["fig5", "--x", "16", "--algo", "H-Ring", "--nodes", "64",
               "--mode", "simulated"],
-             run_fig5, {"mode": "simulated", "n_nodes": 64,
-                        "wavelengths": (16,)}, 1, "optical"),
+             run_fig5, _FIG5, 1, "optical"),
             # Electrical: fig7's E-Ring is on the fat-tree in every mode.
             (["fig7", "--x", "128", "--algo", "E-Ring", "--mode", "analytical"],
-             run_fig7, {"mode": "analytical", "nodes": (128,)}, 0, "electrical"),
+             run_fig7, _FIG7, 0, "electrical"),
             # Analytic: covers the ReconfigModel(t_tune=0) the runner passes.
             (["fig4", "--x", "17", "--mode", "analytical"],
              run_fig4, {"mode": "analytical", "group_sizes": (17,)}, 0,
              "analytic"),
+            # The rest of each line-up at the same x.
+            *[
+                (["fig5", "--x", "16", "--algo", algo, "--nodes", "64",
+                  "--mode", "simulated"], run_fig5, _FIG5, index, "optical")
+                for index, algo in ((0, "Ring"), (2, "BT"), (3, "WRHT"))
+            ],
+            *[
+                (["fig6", "--x", "64", "--algo", algo, "--mode", "simulated"],
+                 run_fig6, _FIG6, index, "optical")
+                for index, algo in ((0, "Ring"), (1, "H-Ring"), (2, "BT"))
+            ],
+            (["fig7", "--x", "128", "--algo", "RD", "--mode", "analytical"],
+             run_fig7, _FIG7, 1, "electrical"),
+            (["fig7", "--x", "128", "--algo", "O-Ring", "--mode", "analytical"],
+             run_fig7, _FIG7, 2, "analytic"),
+            (["fig7", "--x", "128", "--algo", "WRHT", "--mode", "analytical"],
+             run_fig7, _FIG7, 3, "analytic"),
         ],
     )
     def test_obs_cell_matches_figure_cell(

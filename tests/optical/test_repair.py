@@ -37,10 +37,9 @@ from repro.optical.repair import (
     RwaContext,
     capture_solution,
     repair_rounds,
-    route_masks,
     validate_rounds,
 )
-from repro.optical.rwa import plan_rounds
+from repro.optical.rwa import plan_rounds, route_masks
 from repro.optical.topology import RingTopology
 
 N, W = 16, 8

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.runner.experiments import FIGURES
 from repro.runner.results import (
-    PAPER_REDUCTIONS,
     PAPER_TABLE1,
     _markdown_table,
     generate_report,
@@ -35,8 +35,8 @@ class TestGenerateReport:
             assert f"| {name} | {steps} | {steps} |" in report
 
     def test_contains_reduction_comparisons(self, report):
-        for reductions in PAPER_REDUCTIONS.values():
-            for baseline, target, _ in reductions:
+        for figure in FIGURES.values():
+            for baseline, target, _ in figure.reductions:
                 assert f"{target} vs {baseline}" in report
 
     def test_contains_all_workloads(self, report):
