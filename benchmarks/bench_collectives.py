@@ -8,10 +8,10 @@ at the repo root and gated by ``scripts/bench_gate.py`` via
    form, priced on all three backends over the Fig-4..7 node/payload grid.
    The simulated backends (optical RWA, electrical fluid flow) stop at
    ``N = 64``. At N=256, on a 2-core x86-64 host, one cold Swing lowering
-   on the optical backend takes ~5 s (routing, RWA and claim validation of
-   its long chords; validation is about a third) and one SCRing q=4
-   lowering on the electrical backend ~11 s (max-min solves). That is far
-   too slow for a per-push gate, so larger sizes are carried by the
+   on the optical backend takes ~0.1 s (routing, RWA and claim validation
+   of its long chords), but one SCRing q=4 lowering on the electrical
+   backend takes ~11 s (max-min solves). That is far too slow for a
+   per-push gate, so larger sizes are carried by the
    analytic backend only (the printed table says so explicitly — nothing
    is dropped silently).
 2. **Fault grid** — every algorithm through every canonical fault scenario

@@ -11,9 +11,10 @@ solved once:
 
 - a write conflict is two overlapping element ranges claimed on the same
   destination node where at least one claim is not a ``sum``;
-- a wavelength conflict is two circuits claiming the same ring segment
-  (a unit interval ``[s, s+1)``) on the same ``(direction, fiber,
-  wavelength)`` channel — circuits are never combinable.
+- a wavelength conflict is two circuits whose routes overlap on the same
+  ``(direction, fiber, wavelength)`` channel — each route is claimed as
+  runs of consecutive segments ``[s, t+1)``, split at the wrap point, and
+  circuits are never combinable.
 
 The module is dependency-free (no ``repro`` imports) so that both the
 legacy entry points and the :mod:`repro.check` rules can route through it

@@ -6,9 +6,12 @@ one round, no two circuits on the same (direction, fiber, wavelength) may
 share a segment — the defining property of circuit-switched WDM.
 
 Conflict detection is the segment×direction×wavelength interval analysis of
-:mod:`repro.check.intervals` (each crossed segment is a unit interval on
-the circuit's channel resource); :func:`validate_no_conflicts` is the thin
-raising wrapper the executors call, and the plan verifier consumes the same
+:mod:`repro.check.intervals`: each maximal run of consecutive crossed
+segments is one half-open interval on the circuit's channel resource, so a
+ring route is one interval, or two when it is split at the wrap point
+(segment N−1 → 0). Two circuits on one channel overlap as runs exactly when
+they share a segment. :func:`validate_no_conflicts` is the thin raising
+wrapper the executors call, and the plan verifier consumes the same
 :func:`circuit_conflicts` as findings.
 """
 
@@ -57,24 +60,44 @@ class Circuit:
         return (self.route.direction.value, self.fiber, self.wavelength)
 
 
+def _segment_runs(segments: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive segment ids as half-open ``[lo, hi)``."""
+    ordered = sorted(segments)
+    runs = []
+    lo = prev = ordered[0]
+    for segment in ordered[1:]:
+        if segment != prev + 1:
+            runs.append((lo, prev + 1))
+            lo = segment
+        prev = segment
+    runs.append((lo, prev + 1))
+    return runs
+
+
 def circuit_claims(circuits: list[Circuit]) -> list[Claim]:
-    """One exclusive unit-interval claim per crossed segment per circuit.
+    """One exclusive interval claim per run of consecutive crossed segments.
 
     The claim resource is the WDM channel ``(direction, fiber,
-    wavelength)``; segment ``s`` becomes the unit interval ``[s, s+1)``.
-    Circuits are never combinable — any overlap is a conflict.
+    wavelength)``; a run of segments ``s .. t`` becomes ``[s, t+1)``. A
+    :class:`~repro.optical.topology.Route` never revisits a segment, so
+    ``max - min + 1 == hops`` proves it contiguous (the common case: one
+    claim); otherwise the sorted segments are split into runs, e.g. at the
+    ring's wrap point. Circuits are never combinable — any overlap is a
+    conflict.
     """
-    return [
-        Claim(
-            resource=circuit.channel,
-            lo=segment,
-            hi=segment + 1,
-            owner=circuit,
-            combinable=False,
-        )
-        for circuit in circuits
-        for segment in circuit.route.segments
-    ]
+    claims = []
+    for circuit in circuits:
+        channel = circuit.channel
+        segments = circuit.route.segments
+        lo, hi = min(segments), max(segments) + 1
+        if hi - lo == len(segments):
+            claims.append(Claim(channel, lo, hi, owner=circuit))
+        else:
+            claims.extend(
+                Claim(channel, lo, hi, owner=circuit)
+                for lo, hi in _segment_runs(segments)
+            )
+    return claims
 
 
 def circuit_conflicts(
@@ -95,7 +118,7 @@ def describe_conflict(conflict: Conflict) -> str:
     return (
         f"circuits {first.transfer.src}->{first.transfer.dst} and "
         f"{second.transfer.src}->{second.transfer.dst} share "
-        f"segment {conflict.first.lo} on channel {second.channel}"
+        f"segment {conflict.overlap[0]} on channel {second.channel}"
     )
 
 
