@@ -6,11 +6,11 @@
 # Stages:
 #   1. ruff (when available — CI images that lack it skip with a notice)
 #   2. repro.check lint  (REP001-REP008 AST pass over src; REP004 retired)
-#   3. repro.check flow  (DET call-graph rules over src; pure AST,
-#      so it stays in the --fast loop; writes flow.sarif.json for CI)
-#   4. repro.check plan verifier over the figure golden plans
-#   --fast stops here (lint + flow + verifier only — the seconds-scale
+#   3. repro.check plan verifier over the figure golden plans
+#   --fast stops here (lint + verifier only — the seconds-scale
 #   pre-commit loop; see docs/TESTING.md). The full gate continues with:
+#   4. collectives smoke (every registered algorithm built, numerically
+#      verified and, where a closed form exists, priced at N=8/15/64)
 #   5. reconfiguration smoke (one overlapped cell per backend under a
 #      25 us MRR tuning model: optical plans PLAN-clean with the
 #      reconfigure-vs-hold decision logged, analytic overlap beating
@@ -20,7 +20,8 @@
 #      incremental repair cross-checked against from-scratch recoloring
 #      via --paranoid-repair)
 #   7. tier-1 tests (which also auto-verify every lowered plan via the
-#      repro.check pytest plugin)
+#      repro.check pytest plugin, and check plan determinism by lowering
+#      the golden plans under two hash seeds)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,14 +46,11 @@ fi
 echo "== repro.check lint =="
 python -m repro.check.lint src
 
-echo "== repro.check flow (DET call-graph rules) =="
-python -m repro.check flow src --sarif flow.sarif.json
-
 echo "== repro.check golden plans (optical) =="
 python -m repro.check check --backend optical
 
 if [[ "$FAST" == "1" ]]; then
-    echo "== --fast: skipping fault smoke and tier-1 tests =="
+    echo "== --fast: skipping the smokes and tier-1 tests =="
     exit 0
 fi
 

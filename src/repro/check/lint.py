@@ -1,4 +1,4 @@
-"""Reproduction-specific AST lint (REP001–REP007). Stdlib ``ast`` only.
+"""Reproduction-specific AST lint (REP001–REP008). Stdlib ``ast`` only.
 
 General-purpose linters cannot know that this repo's determinism contract
 forbids unseeded RNGs, that timing quantities are floats that must never be
@@ -40,12 +40,11 @@ REP008   Suppression pragma without a reason (``# REP006`` bare, or
 REP004 (import of the late ``repro.optical.plancache`` alias) is retired:
 the alias was removed in PR 7 and the id is never reused.
 
-**Pragmas.** Every rule in this file — and every ``DET`` rule of
-the flow analyzer (:mod:`repro.check.flow`) — honours one uniform escape
-hatch: a ``# <RULEID>: <reason>`` comment on the offending line or in the
-comment block directly above it suppresses that rule's finding there. The
-reason is mandatory (see REP008); :func:`pragma_suppresses` is the single
-shared implementation.
+**Pragmas.** Every rule in this file honours one uniform escape hatch: a
+``# <RULEID>: <reason>`` comment on the offending line or in the comment
+block directly above it suppresses that rule's finding there. Only ``REP``
+ids form pragmas. The reason is mandatory (see REP008);
+:func:`pragma_suppresses` is the single implementation.
 
 Files that fail to parse are reported as a structured ``SYNTAX`` finding
 (file, line, message) instead of raising, so one broken file cannot mask
@@ -104,14 +103,14 @@ LINT_RULES: dict[str, str] = {
 #: ``--select``-able away: no other rule can run on such a file).
 SYNTAX_RULE = "SYNTAX"
 
-#: One suppression pragma: ``# <RULEID>: <reason>`` at the end of a line.
+#: One suppression pragma: ``# <REPID>: <reason>`` at the end of a line.
 #: The id must be the whole comment tail (prose like "# REP006 is retired"
 #: does not match) and the reason group is ``None`` for bare pragmas.
-_PRAGMA = re.compile(r"#\s*((?:REP|DET)\d{3})\s*(?::\s*(\S.*?))?\s*$")
+_PRAGMA = re.compile(r"#\s*(REP\d{3})\s*(?::\s*(\S.*?))?\s*$")
 
 
 def pragma_at(line: str) -> tuple[str, str | None] | None:
-    """The ``(rule_id, reason)`` of a pragma-shaped comment on ``line``.
+    """The ``(rule_id, reason)`` of a ``REP`` pragma comment on ``line``.
 
     ``None`` when the line carries no pragma; ``(id, None)`` for a bare
     pragma (flagged by REP008, suppresses nothing).
@@ -125,10 +124,10 @@ def pragma_at(line: str) -> tuple[str, str | None] | None:
 def pragma_suppresses(rule_id: str, lines: list[str], lineno: int) -> bool:
     """Whether a reasoned ``# <rule_id>: <reason>`` pragma covers ``lineno``.
 
-    The single escape-hatch implementation shared by every REP lint rule
-    and every DET flow rule: the pragma may sit on the offending line
-    itself or anywhere in the comment block directly above it, and must
-    carry a non-empty reason (bare pragmas are rejected — see REP008).
+    The single escape-hatch implementation shared by every REP lint rule:
+    the pragma may sit on the offending line itself or anywhere in the
+    comment block directly above it, and must carry a non-empty reason
+    (bare pragmas are rejected — see REP008).
     """
     index = lineno - 1
     if 0 <= index < len(lines):
@@ -441,10 +440,9 @@ _CHECKERS: dict[str, Callable[[ast.AST, str, list[str]], Iterator[Finding]]] = {
 def apply_pragmas(findings: list[Finding], lines: list[str]) -> list[Finding]:
     """Drop findings covered by a reasoned pragma (shared escape hatch).
 
-    Used by both this lint pass and the flow analyzer
-    (:mod:`repro.check.flow`) so every REP/DET rule honours the same
-    ``# <RULEID>: <reason>`` convention. REP008 findings are exempt: a
-    pragma cannot excuse its own missing reason.
+    Every REP rule honours the same ``# <RULEID>: <reason>`` convention.
+    REP008 findings are exempt: a pragma cannot excuse its own missing
+    reason.
     """
     kept: list[Finding] = []
     for finding in findings:
@@ -504,13 +502,23 @@ def lint_paths(
     return findings
 
 
+def existing_path(value: str) -> Path:
+    """Argparse ``type`` for a lint target: a missing path is a usage error."""
+    path = Path(value)
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"no such file or directory: {value}")
+    return path
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI: lint the given paths, print findings, exit 1 on any."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.check.lint",
         description="Reproduction-specific AST lint (REP001-REP008).",
     )
-    parser.add_argument("paths", nargs="*", type=Path, help="files or directories")
+    parser.add_argument(
+        "paths", nargs="*", type=existing_path, help="files or directories"
+    )
     parser.add_argument(
         "--select",
         help="comma-separated rule ids to run (default: all)",

@@ -66,48 +66,19 @@ class TestCheckCommand:
         assert main(["lint", "src"]) == 0
 
 
-class TestFlowCommand:
-    def test_flow_clean_on_src(self, capsys):
-        assert main(["flow", "src"]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
-    def test_flow_flags_violation_and_writes_sarif(self, tmp_path, capsys):
-        bad = tmp_path / "svc.py"
-        bad.write_text(
-            "import time\n\n\ndef cache_key(cfg):\n    return (cfg, time.time())\n"
-        )
-        sarif = tmp_path / "flow.sarif.json"
-        assert main(["flow", str(tmp_path), "--sarif", str(sarif)]) == 1
-        assert "DET001" in capsys.readouterr().out
-        import json
-
-        log = json.loads(sarif.read_text())
-        assert log["version"] == "2.1.0"
-        assert log["runs"][0]["results"][0]["ruleId"] == "DET001"
-
-    def test_flow_select_restricts_rules(self, tmp_path, capsys):
-        bad = tmp_path / "svc.py"
-        bad.write_text(
-            "import time\n\n\ndef cache_key(cfg):\n    return (cfg, time.time())\n"
-        )
-        assert main(["flow", str(tmp_path), "--select", "DET004"]) == 0
-        assert "DET001" not in capsys.readouterr().out
-
-    def test_flow_unknown_rule_rejected(self, capsys):
-        assert main(["flow", "src", "--select", "NOPE999"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_flow_list_rules(self, capsys):
-        assert main(["flow", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "DET004"):
-            assert rule_id in out
-
-
 class TestParser:
     def test_default_backend_is_optical(self):
         args = build_parser().parse_args(["check"])
         assert args.backend == "optical"
+
+    def test_choices_are_the_figure_table_and_backend_registry(self):
+        from repro.backend import registry
+
+        parser = build_parser()
+        for fig in FIGURES:
+            assert parser.parse_args(["check", "--fig", fig]).fig == fig
+        for name in registry.available():
+            assert parser.parse_args(["check", "--backend", name]).backend == name
 
     def test_runner_cli_forwards_check(self, capsys):
         from repro.runner.cli import main as runner_main
@@ -117,9 +88,3 @@ class TestParser:
         )
         assert code == 0
         assert "clean" in capsys.readouterr().out
-
-    def test_runner_cli_forwards_check_flow(self, capsys):
-        from repro.runner.cli import main as runner_main
-
-        assert runner_main(["check", "flow", "src"]) == 0
-        assert "0 error(s)" in capsys.readouterr().out

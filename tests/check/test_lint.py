@@ -1,7 +1,10 @@
-"""The REP001–REP007 AST lint: each rule has failing and passing fixtures."""
+"""The REP001–REP008 AST lint: each rule has failing and passing fixtures."""
 
 import textwrap
 
+import pytest
+
+from repro.check.cli import main as check_main
 from repro.check.lint import LINT_RULES, lint_source, main
 
 
@@ -209,9 +212,10 @@ class TestRep008BarePragma:
             path=COLD_PATH,
         ) == []
 
-    def test_bare_flow_pragma_flagged(self):
-        # The shared pragma grammar covers the flow rule family too.
-        assert _ids("x = 1  # DET001\n") == ["REP008"]
+    def test_retired_flow_ids_are_plain_comments(self):
+        # Only REP ids form pragmas: a bare DET id is an ordinary comment.
+        for n in range(1, 5):
+            assert _ids(f"x = 1  # DET{n:03d}\n") == []
 
     def test_rep008_cannot_suppress_itself(self):
         assert _ids("x = 1  # REP006\n# REP008: hush\n") == ["REP008"]
@@ -260,6 +264,16 @@ class TestHarness:
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "REP007" in out
+
+    @pytest.mark.parametrize(
+        "run", [main, lambda argv: check_main(["lint", *argv])],
+        ids=["lint", "check-lint"],
+    )
+    def test_missing_path_is_usage_error(self, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["src", "no_such_dir"])
+        assert exc.value.code == 2
+        assert "no such file or directory: no_such_dir" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
