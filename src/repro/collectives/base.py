@@ -25,12 +25,19 @@ transfer objects. Since timing depends only on each step's communication
 representative step per run of identical-pattern steps. Executors consume
 the profile; the numerical verifier consumes the exact materialized steps
 (built only for sizes where that is cheap).
+
+Builders hand the profile over as a zero-argument callable, and the
+schedule builds it the first time something reads it. The optical and
+electrical backends, the verifier and ``n_steps`` read it; the analytic
+backend prices from ``(algorithm, n_nodes, total_elems, meta)`` alone, so
+a closed-form cell never constructs a single :class:`Transfer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Literal, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterator, Literal, Sequence
 
 from repro.check.intervals import Claim
 from repro.util.validation import check_positive_int
@@ -125,7 +132,13 @@ class CommStep:
         are deliberately excluded — a Ring reduce-scatter step moving chunk
         ``c`` costs the same as one moving chunk ``c+1``.
         """
-        return tuple(sorted((t.src, t.dst, t.n_elems, t.op) for t in self.transfers))
+        key = self.__dict__.get("_pattern_key")
+        if key is None:
+            key = tuple(sorted((t.src, t.dst, t.n_elems, t.op) for t in self.transfers))
+            # Cached beside the frozen fields: equality, hashing and repr
+            # still see only the transfers, stage and level.
+            self.__dict__["_pattern_key"] = key
+        return key
 
     def write_claims(self) -> list[Claim]:
         """Dataflow metadata: every non-empty transfer's destination claim.
@@ -148,7 +161,9 @@ class CommStep:
         return by_src
 
 
-@dataclass
+Profile = list[tuple[CommStep, int]]
+
+
 class Schedule:
     """A complete All-reduce schedule plus its compressed timing profile.
 
@@ -158,22 +173,52 @@ class Schedule:
         total_elems: Length of the gradient vector being reduced.
         steps: Materialized steps (may be ``None`` at large scale).
         timing_profile: ``(representative_step, count)`` pairs covering the
-            whole schedule in order.
+            whole schedule in order. The constructor takes the list itself
+            or a zero-argument callable returning it; a callable runs once,
+            on the first read.
         meta: Builder-specific extras (e.g. the :class:`WrhtPlan`).
     """
 
-    algorithm: str
-    n_nodes: int
-    total_elems: int
-    steps: list[CommStep] | None
-    timing_profile: list[tuple[CommStep, int]]
-    meta: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        algorithm: str,
+        n_nodes: int,
+        total_elems: int,
+        steps: list[CommStep] | None,
+        timing_profile: Profile | Callable[[], Profile],
+        meta: dict | None = None,
+    ) -> None:
+        check_positive_int("n_nodes", n_nodes)
+        check_positive_int("total_elems", total_elems)
+        self.algorithm = algorithm
+        self.n_nodes = n_nodes
+        self.total_elems = total_elems
+        self.steps = steps
+        self.meta = {} if meta is None else meta
+        self._profile: Profile | None = None
+        self._build_profile: Callable[[], Profile] | None = None
+        if callable(timing_profile):
+            self._build_profile = timing_profile
+        else:
+            self._set_profile(timing_profile)
 
-    def __post_init__(self) -> None:
-        check_positive_int("n_nodes", self.n_nodes)
-        check_positive_int("total_elems", self.total_elems)
-        if not self.timing_profile and self.n_nodes > 1:
+    def _set_profile(self, profile: Profile) -> None:
+        if not profile and self.n_nodes > 1:
             raise ValueError("schedule must have a timing profile")
+        self._profile = profile
+
+    @property
+    def timing_profile(self) -> Profile:
+        """The ``(representative_step, count)`` pairs, built on first read."""
+        if self._profile is None:
+            self._set_profile(self._build_profile())
+            self._build_profile = None
+        return self._profile
+
+    @property
+    def profile_built(self) -> bool:
+        """Whether the timing profile exists yet (reading it builds it)."""
+        return self._profile is not None
 
     @property
     def n_steps(self) -> int:
@@ -225,9 +270,9 @@ class Schedule:
                 idx += 1
 
 
-def compress_steps(steps: Sequence[CommStep]) -> list[tuple[CommStep, int]]:
+def compress_steps(steps: Sequence[CommStep]) -> Profile:
     """Run-length encode consecutive steps with identical pattern keys."""
-    profile: list[tuple[CommStep, int]] = []
+    profile: Profile = []
     prev_key = None
     for step in steps:
         key = step.pattern_key()
@@ -249,3 +294,25 @@ def singleton_schedule(algorithm: str, total_elems: int) -> Schedule:
         steps=[],
         timing_profile=[],
     )
+
+
+def compressed_profile(build_steps: Callable[..., list[CommStep]], *args) -> Profile:
+    """``compress_steps(build_steps(*args))``, as one picklable callable."""
+    return compress_steps(build_steps(*args))
+
+
+def steps_and_profile(
+    materialize: bool | None, build_steps: Callable[..., list[CommStep]], *args
+) -> tuple[list[CommStep] | None, Profile | Callable[[], Profile]]:
+    """``(steps, timing_profile)`` for a builder whose profile is its own
+    compressed steps.
+
+    ``build_steps(*args)`` runs now unless ``materialize`` is ``False``;
+    then it runs only if the profile is read, and ``steps`` is ``None``.
+    Materialized steps are compressed at once: they exist already, and
+    their pattern keys are cached for the backend that lowers them.
+    """
+    if materialize is False:
+        return None, partial(compressed_profile, build_steps, *args)
+    steps = build_steps(*args)
+    return steps, compress_steps(steps)

@@ -15,8 +15,8 @@ from repro.collectives.base import (
     CommStep,
     Schedule,
     Transfer,
-    compress_steps,
     singleton_schedule,
+    steps_and_profile,
 )
 from repro.util.validation import check_positive_int
 
@@ -37,6 +37,17 @@ def _broadcast_step_transfers(n: int, k: int, total: int) -> tuple[Transfer, ...
     )
 
 
+def _steps(n: int, n_levels: int, total: int) -> list[CommStep]:
+    steps: list[CommStep] = []
+    for k in range(1, n_levels + 1):
+        steps.append(CommStep(_reduce_step_transfers(n, k, total), stage="reduce", level=k))
+    for k in range(n_levels, 0, -1):
+        steps.append(
+            CommStep(_broadcast_step_transfers(n, k, total), stage="broadcast", level=k)
+        )
+    return steps
+
+
 def build_bt_schedule(n_nodes: int, total_elems: int, materialize: bool | None = None) -> Schedule:
     """Build the binary-tree All-reduce schedule (``2⌈log₂N⌉`` steps).
 
@@ -45,7 +56,8 @@ def build_bt_schedule(n_nodes: int, total_elems: int, materialize: bool | None =
         total_elems: Gradient vector length.
         materialize: Kept for builder-API symmetry; BT schedules are always
             cheap to materialize (O(N log N) transfers), so exact steps are
-            built unless explicitly disabled.
+            built unless explicitly disabled. Disabled, the steps are built
+            only if the timing profile is read.
     """
     check_positive_int("n_nodes", n_nodes)
     check_positive_int("total_elems", total_elems)
@@ -55,25 +67,12 @@ def build_bt_schedule(n_nodes: int, total_elems: int, materialize: bool | None =
     # no float log2 that could misround near large powers of two, and no
     # math domain error should the n_nodes guard above ever regress.
     n_levels = (n_nodes - 1).bit_length()
-    steps: list[CommStep] = []
-    for k in range(1, n_levels + 1):
-        steps.append(
-            CommStep(_reduce_step_transfers(n_nodes, k, total_elems), stage="reduce", level=k)
-        )
-    for k in range(n_levels, 0, -1):
-        steps.append(
-            CommStep(
-                _broadcast_step_transfers(n_nodes, k, total_elems),
-                stage="broadcast",
-                level=k,
-            )
-        )
-    profile = compress_steps(steps)
+    steps, profile = steps_and_profile(materialize, _steps, n_nodes, n_levels, total_elems)
     return Schedule(
         algorithm="bt",
         n_nodes=n_nodes,
         total_elems=total_elems,
-        steps=steps if materialize is not False else None,
+        steps=steps,
         timing_profile=profile,
         meta={"profile_exact": True, "n_levels": n_levels},
     )

@@ -23,8 +23,8 @@ from repro.collectives.base import (
     CommStep,
     Schedule,
     Transfer,
-    compress_steps,
     singleton_schedule,
+    steps_and_profile,
 )
 from repro.util.validation import check_positive_int
 
@@ -61,30 +61,13 @@ def _tree_steps(n: int, lo: int, hi: int, rotate: int) -> list[list[Transfer]]:
     return steps
 
 
-def build_dbtree_schedule(
-    n_nodes: int, total_elems: int, materialize: bool | None = None
-) -> Schedule:
-    """Build the double-binary-tree All-reduce schedule.
-
-    Args:
-        n_nodes: Participants N >= 1.
-        total_elems: Gradient vector length (halved across the two trees).
-        materialize: API symmetry; always cheap, built unless disabled.
-
-    Returns:
-        A :class:`Schedule` with ``2⌈log₂N⌉`` steps, every step carrying
-        both trees' transfers on disjoint vector halves.
-    """
-    check_positive_int("n_nodes", n_nodes)
-    check_positive_int("total_elems", total_elems)
-    if n_nodes == 1:
-        return singleton_schedule("dbtree", total_elems)
-    mid = total_elems // 2
-    rotate = (n_nodes + 1) // 2
-    tree_a = _tree_steps(n_nodes, 0, mid, rotate=0)
-    tree_b = _tree_steps(n_nodes, mid, total_elems, rotate=rotate)
+def _steps(n: int, total: int, rotate: int) -> list[CommStep]:
+    """Both trees' transfers merged step by step (tree B rotated)."""
+    mid = total // 2
+    tree_a = _tree_steps(n, 0, mid, rotate=0)
+    tree_b = _tree_steps(n, mid, total, rotate=rotate)
     steps = []
-    n_levels = (n_nodes - 1).bit_length()
+    n_levels = (n - 1).bit_length()
     for idx, (a, b) in enumerate(zip(tree_a, tree_b)):
         stage = "reduce" if idx < n_levels else "broadcast"
         transfers = tuple(
@@ -97,11 +80,37 @@ def build_dbtree_schedule(
                 level=(idx + 1) if idx < n_levels else (2 * n_levels - idx),
             )
         )
+    return steps
+
+
+def build_dbtree_schedule(
+    n_nodes: int, total_elems: int, materialize: bool | None = None
+) -> Schedule:
+    """Build the double-binary-tree All-reduce schedule.
+
+    Args:
+        n_nodes: Participants N >= 1.
+        total_elems: Gradient vector length (halved across the two trees).
+        materialize: API symmetry; always cheap, built unless disabled.
+            Disabled, the steps are built only if the timing profile is
+            read.
+
+    Returns:
+        A :class:`Schedule` with ``2⌈log₂N⌉`` steps, every step carrying
+        both trees' transfers on disjoint vector halves.
+    """
+    check_positive_int("n_nodes", n_nodes)
+    check_positive_int("total_elems", total_elems)
+    if n_nodes == 1:
+        return singleton_schedule("dbtree", total_elems)
+    rotate = (n_nodes + 1) // 2
+    n_levels = (n_nodes - 1).bit_length()
+    steps, profile = steps_and_profile(materialize, _steps, n_nodes, total_elems, rotate)
     return Schedule(
         algorithm="dbtree",
         n_nodes=n_nodes,
         total_elems=total_elems,
-        steps=steps if materialize is not False else None,
-        timing_profile=compress_steps(steps),
+        steps=steps,
+        timing_profile=profile,
         meta={"profile_exact": True, "rotation": rotate, "n_levels": n_levels},
     )

@@ -22,6 +22,7 @@ intra-group steps into rounds; the closed form in
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.collectives.base import (
     CommStep,
@@ -116,9 +117,8 @@ def _leader_broadcast(groups, total: int) -> CommStep | None:
     return CommStep(tuple(transfers), stage="broadcast", level=1)
 
 
-def _profile(n: int, m: int, total: int) -> list[tuple[CommStep, int]]:
+def _profile(groups, total: int) -> list[tuple[CommStep, int]]:
     """Uniform-size timing profile (see ring.py for the approximation note)."""
-    groups = partition_ring(list(range(n)), m)
     max_g = max(len(g.members) for g in groups)
     n_groups = len(groups)
     profile: list[tuple[CommStep, int]] = []
@@ -198,7 +198,7 @@ def build_hring_schedule(
         n_nodes=n_nodes,
         total_elems=total_elems,
         steps=steps,
-        timing_profile=_profile(n_nodes, m, total_elems),
+        timing_profile=partial(_profile, groups, total_elems),
         meta={
             "profile_exact": False,
             "n_groups": len(groups),

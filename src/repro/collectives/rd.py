@@ -24,8 +24,8 @@ from repro.collectives.base import (
     CommStep,
     Schedule,
     Transfer,
-    compress_steps,
     singleton_schedule,
+    steps_and_profile,
 )
 from repro.collectives.ring import chunk_bounds
 from repro.util.validation import check_positive_int
@@ -98,6 +98,46 @@ def _halving_doubling_core_steps(
     return steps
 
 
+def _steps(p: int, r: int, total_elems: int, variant: str) -> list[CommStep]:
+    """Fold pre-step, the ``p``-rank core of ``variant``, fold post-step."""
+    floor_log = p.bit_length() - 1
+    steps: list[CommStep] = []
+
+    if r > 0:  # pre-step: odd members of the first 2r nodes fold onto evens
+        steps.append(
+            CommStep(
+                tuple(
+                    Transfer(src=2 * i + 1, dst=2 * i, lo=0, hi=total_elems, op="sum")
+                    for i in range(r)
+                ),
+                stage="reduce",
+            )
+        )
+
+    if variant == "doubling":
+        nodes = [_core_node(rank, r) for rank in range(p)]
+        for k in range(floor_log):  # full-vector exchange among P survivors
+            transfers = tuple(
+                Transfer(nodes[rank], nodes[rank ^ (1 << k)], 0, total_elems, "sum")
+                for rank in range(p)
+            )
+            steps.append(CommStep(transfers, stage="exchange", level=k + 1))
+    elif p >= 2:
+        steps.extend(_halving_doubling_core_steps(p, r, total_elems))
+
+    if r > 0:  # post-step: evens hand the result back to the folded odds
+        steps.append(
+            CommStep(
+                tuple(
+                    Transfer(src=2 * i, dst=2 * i + 1, lo=0, hi=total_elems, op="copy")
+                    for i in range(r)
+                ),
+                stage="broadcast",
+            )
+        )
+    return steps
+
+
 def build_rd_schedule(
     n_nodes: int,
     total_elems: int,
@@ -111,6 +151,8 @@ def build_rd_schedule(
         total_elems: Gradient vector length.
         materialize: API symmetry; RD is always cheap to materialize
             (O(N log N) transfers) so exact steps are built unless disabled.
+            Disabled, the steps are built only if the timing profile is
+            read.
         variant: ``"doubling"`` (full-vector exchanges, the paper baseline)
             or ``"halving_doubling"`` (Rabenseifner; see module docstring).
     """
@@ -131,53 +173,12 @@ def build_rd_schedule(
         raise ValueError(
             f"recursive doubling needs a >= 2-rank core, got n_nodes={n_nodes}"
         )
-    steps: list[CommStep] = []
-
-    if r > 0:  # pre-step: odd members of the first 2r nodes fold onto evens
-        steps.append(
-            CommStep(
-                tuple(
-                    Transfer(src=2 * i + 1, dst=2 * i, lo=0, hi=total_elems, op="sum")
-                    for i in range(r)
-                ),
-                stage="reduce",
-            )
-        )
-
-    if variant == "doubling":
-        for k in range(floor_log):  # full-vector exchange among P survivors
-            transfers = []
-            for rank in range(p):
-                peer = rank ^ (1 << k)
-                transfers.append(
-                    Transfer(
-                        src=_core_node(rank, r),
-                        dst=_core_node(peer, r),
-                        lo=0,
-                        hi=total_elems,
-                        op="sum",
-                    )
-                )
-            steps.append(CommStep(tuple(transfers), stage="exchange", level=k + 1))
-    elif p >= 2:
-        steps.extend(_halving_doubling_core_steps(p, r, total_elems))
-
-    if r > 0:  # post-step: evens hand the result back to the folded odds
-        steps.append(
-            CommStep(
-                tuple(
-                    Transfer(src=2 * i, dst=2 * i + 1, lo=0, hi=total_elems, op="copy")
-                    for i in range(r)
-                ),
-                stage="broadcast",
-            )
-        )
-
+    steps, profile = steps_and_profile(materialize, _steps, p, r, total_elems, variant)
     return Schedule(
         algorithm="rd",
         n_nodes=n_nodes,
         total_elems=total_elems,
-        steps=steps if materialize is not False else None,
-        timing_profile=compress_steps(steps),
+        steps=steps,
+        timing_profile=profile,
         meta={"profile_exact": True, "power_of_two": r == 0, "variant": variant},
     )

@@ -18,6 +18,7 @@ timing error is below one element per transfer.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.collectives.base import (
     CommStep,
@@ -110,6 +111,6 @@ def build_ring_schedule(
         n_nodes=n_nodes,
         total_elems=total_elems,
         steps=steps,
-        timing_profile=_profile(n_nodes, total_elems),
+        timing_profile=partial(_profile, n_nodes, total_elems),
         meta={"profile_exact": total_elems % n_nodes == 0},
     )

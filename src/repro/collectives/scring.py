@@ -28,6 +28,7 @@ early-termination limit of 2 steps at ``A = N−1``.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.collectives.base import (
     CommStep,
@@ -190,7 +191,7 @@ def build_scring_schedule(
         exact = True
     else:
         steps = None
-        profile = _profile(n_nodes, total_elems, arcs)
+        profile = partial(_profile, n_nodes, total_elems, arcs)
         exact = len(lengths) == 1 and total_elems % n_nodes == 0
     return Schedule(
         algorithm="scring",

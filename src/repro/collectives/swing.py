@@ -30,6 +30,8 @@ the result back in a post-step, adding two full-vector steps.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.collectives.base import (
     CommStep,
     Schedule,
@@ -246,7 +248,7 @@ def build_swing_schedule(
         profile = compress_steps(steps)
     else:
         steps = None
-        profile = _profile(n_nodes, p, r, total_elems)
+        profile = partial(_profile, n_nodes, p, r, total_elems)
     return Schedule(
         algorithm="swing",
         n_nodes=n_nodes,

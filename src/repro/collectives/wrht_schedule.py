@@ -18,7 +18,7 @@ the test suite cross-checks it against the Table 1 closed form.
 from __future__ import annotations
 
 from repro.collectives.alltoall import build_alltoall_step
-from repro.collectives.base import CommStep, Schedule, Transfer, compress_steps
+from repro.collectives.base import CommStep, Schedule, Transfer, steps_and_profile
 from repro.core.planner import WrhtPlan, plan_wrht
 from repro.util.validation import check_positive_int
 
@@ -50,39 +50,8 @@ def _broadcast_step(level, total: int) -> CommStep:
     return CommStep(tuple(transfers), stage="broadcast", level=level.level)
 
 
-def build_wrht_schedule(
-    n_nodes: int,
-    total_elems: int,
-    n_wavelengths: int = 64,
-    m: int | None = None,
-    plan: WrhtPlan | None = None,
-    materialize: bool | None = None,
-) -> Schedule:
-    """Build the WRHT All-reduce schedule.
-
-    Args:
-        n_nodes: Ring size N >= 1.
-        total_elems: Gradient vector length.
-        n_wavelengths: Available wavelengths (used when planning).
-        m: Optional forced group size (forwarded to the planner).
-        plan: Pre-computed plan; overrides ``n_wavelengths``/``m``.
-        materialize: API symmetry; WRHT schedules are O(N log N) transfers
-            and are always materialized unless explicitly disabled.
-
-    Returns:
-        A :class:`Schedule` whose ``meta["plan"]`` holds the resolved plan.
-    """
-    check_positive_int("n_nodes", n_nodes)
-    check_positive_int("total_elems", total_elems)
-    if n_nodes == 1:
-        from repro.collectives.base import singleton_schedule
-
-        return singleton_schedule("wrht", total_elems)
-    if plan is None:
-        plan = plan_wrht(n_nodes, n_wavelengths, m=m)
-    elif plan.n_nodes != n_nodes:
-        raise ValueError(f"plan is for N={plan.n_nodes}, schedule for N={n_nodes}")
-
+def _steps(plan: WrhtPlan, total_elems: int) -> list[CommStep]:
+    """The plan's reduce levels (or all-to-all shortcut), then broadcast."""
     steps: list[CommStep] = []
     reduce_levels = plan.levels
     for level in reduce_levels[:-1]:
@@ -105,11 +74,50 @@ def build_wrht_schedule(
         raise AssertionError(
             f"WRHT schedule has {len(steps)} steps but the plan says θ={plan.theta}"
         )
+    return steps
+
+
+def build_wrht_schedule(
+    n_nodes: int,
+    total_elems: int,
+    n_wavelengths: int = 64,
+    m: int | None = None,
+    plan: WrhtPlan | None = None,
+    materialize: bool | None = None,
+) -> Schedule:
+    """Build the WRHT All-reduce schedule.
+
+    Args:
+        n_nodes: Ring size N >= 1.
+        total_elems: Gradient vector length.
+        n_wavelengths: Available wavelengths (used when planning).
+        m: Optional forced group size (forwarded to the planner).
+        plan: Pre-computed plan; overrides ``n_wavelengths``/``m``.
+        materialize: API symmetry; WRHT schedules are O(N log N) transfers
+            and are always materialized unless explicitly disabled.
+            Disabled, the steps are built only if the timing profile is
+            read.
+
+    Returns:
+        A :class:`Schedule` whose ``meta["plan"]`` holds the resolved plan.
+    """
+    check_positive_int("n_nodes", n_nodes)
+    check_positive_int("total_elems", total_elems)
+    if n_nodes == 1:
+        from repro.collectives.base import singleton_schedule
+
+        return singleton_schedule("wrht", total_elems)
+    if plan is None:
+        plan = plan_wrht(n_nodes, n_wavelengths, m=m)
+    elif plan.n_nodes != n_nodes:
+        raise ValueError(f"plan is for N={plan.n_nodes}, schedule for N={n_nodes}")
+
+    steps, profile = steps_and_profile(materialize, _steps, plan, total_elems)
     return Schedule(
         algorithm="wrht",
         n_nodes=n_nodes,
         total_elems=total_elems,
-        steps=steps if materialize is not False else None,
-        timing_profile=compress_steps(steps),
+        steps=steps,
+        timing_profile=profile,
         meta={"profile_exact": True, "plan": plan},
     )

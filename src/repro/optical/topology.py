@@ -59,34 +59,48 @@ class RingTopology:
             raise ValueError("a ring needs at least 2 nodes")
         self.n_nodes = n_nodes
 
-    def _check_node(self, node: int) -> None:
-        if not (0 <= node < self.n_nodes):
-            raise ValueError(f"node {node} out of range [0, {self.n_nodes})")
+    def _check_nodes(self, src: int, dst: int) -> None:
+        n = self.n_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            bad = dst if 0 <= src < n else src
+            raise ValueError(f"node {bad} out of range [0, {n})")
 
     def cw_distance(self, src: int, dst: int) -> int:
         """Hops from ``src`` to ``dst`` going clockwise."""
-        self._check_node(src)
-        self._check_node(dst)
+        self._check_nodes(src, dst)
         return (dst - src) % self.n_nodes
 
     def ccw_distance(self, src: int, dst: int) -> int:
         """Hops from ``src`` to ``dst`` going counter-clockwise."""
+        self._check_nodes(src, dst)
         return (src - dst) % self.n_nodes
 
     def cw_route(self, src: int, dst: int) -> Route:
-        """The clockwise route (src != dst)."""
+        """The clockwise route (src != dst): segments ``src .. dst-1`` mod N."""
         dist = self.cw_distance(src, dst)
         if dist == 0:
             raise ValueError(f"no route from node {src} to itself")
-        segments = tuple((src + k) % self.n_nodes for k in range(dist))
+        end = src + dist
+        if end <= self.n_nodes:
+            segments = tuple(range(src, end))
+        else:  # wraps past segment N-1
+            segments = (*range(src, self.n_nodes), *range(end - self.n_nodes))
         return Route(Direction.CW, segments)
 
     def ccw_route(self, src: int, dst: int) -> Route:
-        """The counter-clockwise route (src != dst)."""
+        """The counter-clockwise route (src != dst): segments ``src-1 .. dst``
+        mod N, descending."""
         dist = self.ccw_distance(src, dst)
         if dist == 0:
             raise ValueError(f"no route from node {src} to itself")
-        segments = tuple((src - 1 - k) % self.n_nodes for k in range(dist))
+        end = src - dist
+        if end >= 0:
+            segments = tuple(range(src - 1, end - 1, -1))
+        else:  # wraps past segment 0
+            segments = (
+                *range(src - 1, -1, -1),
+                *range(self.n_nodes - 1, self.n_nodes + end - 1, -1),
+            )
         return Route(Direction.CCW, segments)
 
     def shortest_route(self, src: int, dst: int) -> Route:

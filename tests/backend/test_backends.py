@@ -12,7 +12,11 @@ from repro.backend import (
     OpticalBackend,
     PlanCache,
 )
-from repro.collectives.registry import build_schedule
+from repro.collectives.registry import (
+    DISPLAY_NAMES,
+    available_algorithms,
+    build_schedule,
+)
 from repro.core.timing import CostModel, algorithm_time
 from repro.electrical.config import ElectricalSystemConfig
 from repro.optical.config import OpticalSystemConfig
@@ -135,6 +139,31 @@ class TestAnalyticBackend:
         sched = build_schedule("dbtree", 16, 160_000, materialize=False)
         with pytest.raises(BackendConfigError, match="no closed-form model"):
             be.run(sched)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 1024])
+    @pytest.mark.parametrize(
+        "algo", [a for a in available_algorithms() if a != "dbtree"]
+    )
+    def test_pricing_builds_no_profile(self, algo, n, monkeypatch):
+        # The suite's plan-verification plugin wraps ``lower`` and reads the
+        # schedule's profile; price through the backend's own ``lower``.
+        lower = AnalyticBackend.lower
+        monkeypatch.setattr(
+            AnalyticBackend, "lower", getattr(lower, "__wrapped__", lower)
+        )
+        be = AnalyticBackend(_model(), w=64, plan_cache=PlanCache())
+        sched = build_schedule(algo, n, 1_000_000, materialize=False)
+        result = be.run(sched, bytes_per_elem=4)
+        assert not sched.profile_built
+        plan = sched.meta.get("plan")
+        assert result.total_time == algorithm_time(
+            DISPLAY_NAMES[algo], n, 4_000_000, _model(),
+            wrht_m=None if plan is None else plan.m,
+            hring_m=sched.meta.get("m", 5), w=64,
+        )
+        fresh = build_schedule(algo, n, 1_000_000, materialize=False)
+        assert sched.n_steps == fresh.n_steps
+        assert sched.profile_built
 
     def test_single_node_is_free(self):
         be = AnalyticBackend(_model(), w=8)

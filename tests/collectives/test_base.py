@@ -1,5 +1,7 @@
 """Schedule data-model tests."""
 
+import pickle
+
 import pytest
 
 from repro.collectives.base import (
@@ -65,6 +67,25 @@ class TestCommStep:
     def test_total_elems(self):
         assert _step([(0, 1), (2, 3)], size=7).total_elems() == 14
 
+    def test_pattern_key_computed_once(self):
+        step = CommStep((Transfer(2, 3, 0, 10), Transfer(0, 1, 5, 9, "copy")))
+        first = step.pattern_key()
+        assert step.pattern_key() is first
+        assert first == tuple(
+            sorted((t.src, t.dst, t.n_elems, t.op) for t in step.transfers)
+        )
+
+    def test_cached_pattern_key_survives_pickle(self):
+        step = CommStep((Transfer(2, 3, 0, 10), Transfer(0, 1, 5, 9, "copy")))
+        key = step.pattern_key()
+        clone = pickle.loads(pickle.dumps(step))
+        assert clone == step and hash(clone) == hash(step)
+        assert clone.pattern_key() == key
+        assert clone.pattern_key() is clone.pattern_key()
+        fresh = CommStep(step.transfers, step.stage, step.level)
+        assert fresh == step and hash(fresh) == hash(step)
+        assert fresh.pattern_key() == key
+
 
 class TestCompressSteps:
     def test_runs_collapse(self):
@@ -111,6 +132,26 @@ class TestSchedule:
     def test_empty_profile_rejected_for_multinode(self):
         with pytest.raises(ValueError):
             Schedule("x", 2, 10, steps=[], timing_profile=[])
+
+    def test_callable_profile_built_once_on_first_read(self):
+        s = _step([(0, 1)])
+        calls = []
+
+        def build():
+            calls.append(1)
+            return [(s, 3)]
+
+        sched = Schedule("x", 2, 10, steps=None, timing_profile=build)
+        assert not sched.profile_built and calls == []
+        assert sched.n_steps == 3
+        assert sched.profile_built
+        assert sched.timing_profile is sched.timing_profile
+        assert calls == [1]
+
+    def test_empty_callable_profile_rejected_on_first_read(self):
+        sched = Schedule("x", 2, 10, steps=None, timing_profile=list)
+        with pytest.raises(ValueError, match="timing profile"):
+            sched.timing_profile
 
     def test_singleton(self):
         sched = singleton_schedule("ring", 100)

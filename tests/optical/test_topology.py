@@ -65,6 +65,20 @@ class TestRingTopology:
         with pytest.raises(ValueError):
             RingTopology(4).cw_route(0, 7)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ring: ring.ccw_route(9, 3),
+            lambda ring: ring.ccw_route(3, 8),
+            lambda ring: ring.ccw_distance(-1, 3),
+            lambda ring: ring.route(-1, 3, Direction.CCW),
+            lambda ring: ring.route(3, 8, Direction.CW),
+        ],
+    )
+    def test_out_of_range_rejected_in_both_directions(self, call):
+        with pytest.raises(ValueError, match="out of range"):
+            call(RingTopology(8))
+
     @given(st.integers(2, 100), st.integers(0, 99), st.integers(0, 99))
     def test_distance_identity(self, n, a, b):
         a, b = a % n, b % n
@@ -86,3 +100,41 @@ class TestRingTopology:
         ccw = ring.ccw_route(a, b)
         assert ccw.segments[0] == (a - 1) % n
         assert ccw.segments[-1] == b
+
+
+def _oracle_segments(n, src, dst, direction):
+    """The per-segment ``% N`` definition of a directional route."""
+    if direction is Direction.CW:
+        return tuple((src + k) % n for k in range((dst - src) % n))
+    return tuple((src - 1 - k) % n for k in range((src - dst) % n))
+
+
+class TestRouteSegmentsMatchOracle:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_every_ordered_pair_small_rings(self, n):
+        ring = RingTopology(n)
+        for src in range(n):
+            for dst in range(n):
+                if src == dst:
+                    continue
+                for direction in Direction:
+                    route = ring.route(src, dst, direction)
+                    assert route.direction is direction
+                    assert route.segments == _oracle_segments(n, src, dst, direction)
+
+    def test_wrapping_pairs_at_1024(self):
+        n = 1024
+        ring = RingTopology(n)
+        ends = (0, 1, 24, 511, 512, 1000, 1022, 1023)
+        wrapped = set()
+        for src in ends:
+            for dst in ends:
+                if src == dst:
+                    continue
+                for direction in Direction:
+                    segments = ring.route(src, dst, direction).segments
+                    assert segments == _oracle_segments(n, src, dst, direction)
+                    step = 1 if direction is Direction.CW else -1
+                    if any(b != a + step for a, b in zip(segments, segments[1:])):
+                        wrapped.add(direction)
+        assert wrapped == set(Direction)

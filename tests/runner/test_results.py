@@ -1,5 +1,7 @@
 """Results-document generator tests."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.runner.experiments import FIGURES
@@ -9,6 +11,8 @@ from repro.runner.results import (
     generate_report,
     write_report,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestMarkdownTable:
@@ -24,7 +28,12 @@ class TestMarkdownTable:
 class TestGenerateReport:
     @pytest.fixture(scope="class")
     def report(self):
-        return generate_report()
+        return generate_report(
+            collectives_baseline=str(ROOT / "BENCH_collectives.json")
+        )
+
+    def test_matches_committed_results_byte_for_byte(self, report):
+        assert report == (ROOT / "RESULTS.md").read_text(encoding="utf-8")
 
     def test_contains_every_experiment(self, report):
         for section in ("Table 1", "fig4", "fig5", "fig6", "fig7"):
